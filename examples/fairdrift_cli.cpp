@@ -20,7 +20,9 @@
 //                      [--no-density] [--scores-out FILE] [--score-rows N]
 //       Train the intervention, freeze it, and persist the snapshot. With
 //       --scores-out, also score N deterministic request rows and write
-//       their results in exact hex-float form.
+//       their results in exact hex-float form. Both snapshot commands
+//       print the density monitor's floor, and say when it sits at the
+//       guard value, where the monitor cannot flag any row.
 //
 //   fairdrift_cli snapshot load-and-score --in /tmp/snap.bin
 //                      [--score-rows N] [--scores-out FILE]
@@ -322,6 +324,22 @@ int WriteScoresFile(const std::vector<ScoreResult>& scores,
   return 0;
 }
 
+/// Prints the density monitor's floor. A floor at the estimator's guard
+/// (the log-density of a zero kernel sum) is below no row's log-density,
+/// so that monitor can never flag anything; say so instead of letting a
+/// zero outlier count look like clean traffic.
+void PrintMonitorFloor(const ModelSnapshot& snapshot) {
+  if (!snapshot.has_density()) return;
+  double floor = snapshot.density_floor();
+  double guard = snapshot.density()->LogDensityGuard();
+  std::printf("density monitor floor %.4f (guard %.4f)", floor, guard);
+  if (floor <= guard) {
+    std::printf(": the floor sits at the guard, so the monitor cannot flag "
+                "any row");
+  }
+  std::printf("\n");
+}
+
 /// Parses `--monitor exact|bounded|sampled` (plus `--sample-modulus N`
 /// for sampled) into a MonitorSpec. Returns false and complains on an
 /// unknown mode.
@@ -410,6 +428,7 @@ int CmdSnapshotSave(const CliFlags& flags) {
               snapshot.value()->has_profile() ? ", profile" : "",
               snapshot.value()->has_density() ? ", density monitor" : "",
               train_size, path.c_str());
+  PrintMonitorFloor(*snapshot.value());
 
   std::string scores_path = flags.GetString("scores-out", "");
   if (!scores_path.empty()) {
@@ -442,6 +461,7 @@ int CmdSnapshotLoadAndScore(const CliFlags& flags) {
               snapshot.value()->num_groups(),
               snapshot.value()->has_profile() ? ", profile" : "",
               snapshot.value()->has_density() ? ", density monitor" : "");
+  PrintMonitorFloor(*snapshot.value());
 
   // Serve the loaded snapshot through the full async path — the
   // two-process deployment shape end to end.

@@ -85,7 +85,7 @@ double KernelDensity::LogDensity(const std::vector<double>& point) const {
 
 double KernelDensity::LogDensity(const double* point) const {
   double sum = KernelSum(point, &ThreadLocalTraversalScratch());
-  if (sum <= 0.0) return -745.0 + log_norm_;  // ~log(DBL_MIN), floor guard
+  if (sum <= 0.0) return LogDensityGuard();
   return std::log(sum) + log_norm_;
 }
 
@@ -125,13 +125,25 @@ std::vector<double> KernelDensity::LeaveOneOutLogDensityAll(
   ParallelForEach(0, queries.rows(), pool, [&](size_t i) {
     double sum = KernelSum(queries.RowPtr(i), &ThreadLocalTraversalScratch());
     sum -= 1.0;  // the row's own kernel term: exp(0) for a fitted point
-    out[i] = sum <= 0.0 ? -745.0 + log_norm_ : std::log(sum) + log_norm_;
+    out[i] = sum <= 0.0 ? LogDensityGuard() : std::log(sum) + log_norm_;
   });
   return out;
 }
 
 bool KernelDensity::LogDensityBelow(const double* point,
                                     double threshold) const {
+  // A threshold at or below the guard has no query below it, so the
+  // answer is "not below" without a traversal. Proof: when the kernel sum
+  // is <= 0, LogDensity returns the guard itself, and guard < threshold is
+  // false; otherwise the sum is a positive double, its log is at least
+  // log(4.9e-324) = -744.44 > -745, and since rounded addition is
+  // monotone, log(sum) + log_norm_ >= -745 + log_norm_ = guard >=
+  // threshold; a NaN log-density compares false too. Calibrated floors
+  // sit exactly on the guard whenever the floor's quantile of training
+  // rows has a leave-one-out sum of 0, and exp(threshold - log_norm_)
+  // then underflows the range the bounded path below accepts, so without
+  // this exit every query would pay the full kernel sum.
+  if (threshold <= LogDensityGuard()) return false;
   // Compare in kernel-sum space: LogDensity < threshold iff
   // KernelSum < exp(threshold - log_norm_) (log is monotone; the sum <= 0
   // floor case is only reachable when the converted threshold underflows,
@@ -165,6 +177,10 @@ void KernelDensity::ClassifyBelowAllInto(const Matrix& queries,
   // Same decision procedure as LogDensityBelow, with the threshold
   // conversion and slack terms hoisted out of the per-row loop — they
   // depend only on the fit and the threshold, not on the query.
+  if (threshold <= LogDensityGuard()) {  // see LogDensityBelow
+    std::fill(out, out + queries.rows(), uint8_t{0});
+    return;
+  }
   double threshold_sum = std::exp(threshold - log_norm_);
   bool in_range = threshold_sum > 1e-280 && threshold_sum < 1e280;
   double eps_rel = (atol_ > 0.0 ? atol_ : 0.0) + 1e-9;

@@ -66,7 +66,7 @@ class KernelDensity {
   /// calling thread's TraversalScratch).
   double Evaluate(const double* point) const;
 
-  /// Log-density at `point` (floor-guarded against -inf).
+  /// Log-density at `point` (LogDensityGuard() instead of -inf).
   double LogDensity(const std::vector<double>& point) const;
 
   /// Log-density at a raw attribute row (allocation-free).
@@ -126,6 +126,13 @@ class KernelDensity {
   /// EvaluateAllInto; bitwise identical for every worker count.
   void ClassifyBelowAllInto(const Matrix& queries, double threshold,
                             uint8_t* out, ThreadPool* pool = nullptr) const;
+
+  /// The log-density LogDensity reports when a query's kernel sum is 0
+  /// (every kernel underflowed): -745 + the log-normalizer. No query's
+  /// log-density is below it, so a density floor at or below the guard
+  /// can flag no row, and LogDensityBelow / ClassifyBelowAllInto answer
+  /// "not below" for such a floor without a traversal.
+  double LogDensityGuard() const { return -745.0 + log_norm_; }
 
   /// Per-dimension bandwidths in use.
   const std::vector<double>& bandwidth() const { return bandwidth_; }

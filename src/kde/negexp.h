@@ -162,13 +162,14 @@ inline bool HasAvx2() {
 
 #if defined(FAIRDRIFT_NEGEXP_HAVE_AVX2_PATH)
 namespace negexp_internal {
-/// Four-wide NegExp in AVX2 registers. Same constants, same mul/add
+/// Four-wide NegExp on one AVX2 register. Same constants, same mul/add
 /// ordering as the SSE2 pair and the portable scalar, so every lane is
-/// bitwise identical to NegExp of that lane. Compiled with a function-
-/// level target attribute; only reachable behind the HasAvx2() check.
-__attribute__((target("avx2"))) inline void NegExpQuadAvx2(const double* x_in,
-                                                           double* e_out) {
-  __m256d x = _mm256_loadu_pd(x_in);
+/// bitwise identical to NegExp of that lane. Register in, register out,
+/// so the leaf scan can keep several of these chains in flight without a
+/// round trip through memory. Compiled with a function-level target
+/// attribute (avx2 only: never fma, which would contract the Horner
+/// steps); only reachable behind the HasAvx2() check.
+__attribute__((target("avx2"))) inline __m256d NegExp4Avx2(__m256d x) {
   __m256d t = _mm256_mul_pd(x, _mm256_set1_pd(kLog2e));
   __m256d magic = _mm256_set1_pd(kRoundMagic);
   __m256d y = _mm256_add_pd(t, magic);
@@ -192,8 +193,13 @@ __attribute__((target("avx2"))) inline void NegExpQuadAvx2(const double* x_in,
   __m256d result = _mm256_mul_pd(p, _mm256_castsi256_pd(scale_bits));
   __m256d underflow =
       _mm256_cmp_pd(x, _mm256_set1_pd(kUnderflow), _CMP_LT_OQ);
-  result = _mm256_andnot_pd(underflow, result);
-  _mm256_storeu_pd(e_out, result);
+  return _mm256_andnot_pd(underflow, result);
+}
+
+/// NegExp4Avx2 from and to memory.
+__attribute__((target("avx2"))) inline void NegExpQuadAvx2(const double* x_in,
+                                                           double* e_out) {
+  _mm256_storeu_pd(e_out, NegExp4Avx2(_mm256_loadu_pd(x_in)));
 }
 }  // namespace negexp_internal
 #endif

@@ -15,12 +15,15 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "kde/balltree.h"
 #include "kde/kde.h"
 #include "kde/kde_cache.h"
 #include "kde/kdtree.h"
+#include "kde/leaf_scan.h"
 #include "kde/negexp.h"
 #include "kde/scratch.h"
 #include "util/rng.h"
@@ -30,17 +33,31 @@ std::atomic<size_t> g_allocation_count{0};
 }  // namespace
 
 // Counting allocator: every form of operator new funnels through malloc
-// with the counter bumped; every delete matches with free.
+// with the counter bumped; every delete matches with free. The nothrow
+// forms are replaced too: std::stable_sort's temporary buffer comes from
+// new(nothrow), and a sanitizer's own new(nothrow) paired with the free
+// below is an alloc-dealloc mismatch.
 void* operator new(std::size_t size) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace fairdrift {
 namespace {
@@ -190,6 +207,141 @@ TEST(NegExpTest, PairMatchesScalarBitwise) {
     EXPECT_EQ(e0, NegExp(x0)) << "x0 = " << x0;
     EXPECT_EQ(e1, NegExp(x1)) << "x1 = " << x1;
   }
+}
+
+TEST(NegExpTest, QuadMatchesScalarBitwise) {
+  // [-750, 0] spans the flush-to-zero edge; the fixed probes pin the edge
+  // itself, its neighbours, and both ends.
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            -708.0,
+                            std::nextafter(-708.0, 0.0),
+                            std::nextafter(-708.0, -1e300),
+                            -750.0,
+                            -1e-300,
+                            -0.5};
+  Rng rng(48);
+  for (int i = 0; i < 20000; ++i) xs.push_back(-rng.Uniform(0.0, 750.0));
+  while (xs.size() % 4 != 0) xs.push_back(-rng.Uniform(0.0, 750.0));
+  for (size_t i = 0; i < xs.size(); i += 4) {
+    double e[4];
+    NegExpQuad(&xs[i], e);
+    for (size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(e[k], NegExp(xs[i + k])) << "x = " << xs[i + k];
+    }
+  }
+}
+
+// -------------------------------------------------------- leaf kernel scan
+
+// The leaf scan as a plain scalar loop: u = 0, u += ((x - q) * ib)^2 in
+// dimension order, kernel NegExp(-0.5 * u), added in row order. Both scans
+// in kde/leaf_scan.h must reproduce it bit for bit.
+double ReferenceLeafScan(const Matrix& points, size_t begin, size_t end,
+                         size_t dim, const double* query,
+                         const double* inv_bandwidth) {
+  double acc = 0.0;
+  for (size_t i = begin; i < end; ++i) {
+    const double* row = points.RowPtr(i);
+    double u = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      double d = (row[j] - query[j]) * inv_bandwidth[j];
+      u += d * d;
+    }
+    acc += NegExp(-0.5 * u);
+  }
+  return acc;
+}
+
+enum class LeafPoints { kRandom, kDuplicates, kFar, kMixed };
+
+// `n` points around `query`: Gaussian draws (kernels across the whole
+// range), exact copies of the query (kernel exactly 1), points far enough
+// that -0.5 * u < -708 (kernel flushed to 0), or a per-point mix of the
+// three, so one vector can hold lanes of every kind.
+Matrix LeafPointSet(LeafPoints kind, size_t n, const std::vector<double>& query,
+                    Rng* rng) {
+  size_t dim = query.size();
+  Matrix m(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    LeafPoints k = kind;
+    if (k == LeafPoints::kMixed) {
+      k = static_cast<LeafPoints>(rng->UniformInt(0, 2));
+    }
+    for (size_t j = 0; j < dim; ++j) {
+      switch (k) {
+        case LeafPoints::kDuplicates:
+          m.At(i, j) = query[j];
+          break;
+        case LeafPoints::kFar:
+          m.At(i, j) =
+              query[j] + (j % 2 == 0 ? 100.0 : -100.0) + rng->Gaussian();
+          break;
+        default:
+          m.At(i, j) = query[j] + rng->Gaussian(0.0, 1.5);
+          break;
+      }
+    }
+  }
+  return m;
+}
+
+using LeafScanFn = double (*)(const Matrix&, size_t, size_t, size_t,
+                              const double*, const double*);
+
+// Checks `scan` against ReferenceLeafScan over dims 1-12, leaf lengths
+// 1-70 (16-row blocks, leftover quads, and the pair and single-row tails
+// in every combination) and every point set.
+void ExpectScanMatchesReference(LeafScanFn scan) {
+  Rng rng(62);
+  for (size_t dim = 1; dim <= 12; ++dim) {
+    std::vector<double> query(dim);
+    std::vector<double> inv_h(dim);
+    for (size_t j = 0; j < dim; ++j) {
+      query[j] = rng.Gaussian();
+      inv_h[j] = 0.5 + rng.Uniform(0.0, 2.0);
+    }
+    for (LeafPoints kind : {LeafPoints::kRandom, LeafPoints::kDuplicates,
+                            LeafPoints::kFar, LeafPoints::kMixed}) {
+      // Rows start at an offset inside the matrix: the scans must honour
+      // `begin`.
+      const size_t offset = 3;
+      Matrix points = LeafPointSet(kind, offset + 70, query, &rng);
+      for (size_t len = 1; len <= 70; ++len) {
+        size_t begin = offset;
+        size_t end = offset + len;
+        double expected = ReferenceLeafScan(points, begin, end, dim,
+                                            query.data(), inv_h.data());
+        if (kind == LeafPoints::kDuplicates) {
+          ASSERT_EQ(expected, static_cast<double>(len));
+        }
+        if (kind == LeafPoints::kFar) {
+          ASSERT_EQ(expected, 0.0);
+        }
+        EXPECT_EQ(scan(points, begin, end, dim, query.data(), inv_h.data()),
+                  expected)
+            << "dim " << dim << ", point set " << static_cast<int>(kind)
+            << ", leaf length " << len;
+      }
+    }
+  }
+}
+
+TEST(LeafScanTest, PortableScanMatchesScalarReferenceBitwise) {
+  ExpectScanMatchesReference(&leaf_scan_internal::LeafKernelSumPortable);
+}
+
+TEST(LeafScanTest, Avx2ScanMatchesScalarReferenceBitwise) {
+#if defined(FAIRDRIFT_NEGEXP_HAVE_AVX2_PATH)
+  if (!HasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  ExpectScanMatchesReference(&leaf_scan_internal::LeafKernelSumAvx2);
+#else
+  GTEST_SKIP() << "no AVX2 scan in this build";
+#endif
+}
+
+TEST(LeafScanTest, DispatchedScanMatchesScalarReferenceBitwise) {
+  ExpectScanMatchesReference(&LeafPairwiseKernelSum);
 }
 
 // --------------------------------------------------------------- KdeCache

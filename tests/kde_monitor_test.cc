@@ -17,7 +17,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/deployment.h"
+#include "data/dataset.h"
 #include "kde/kde.h"
+#include "serve/snapshot.h"
 #include "util/binary_io.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -245,6 +248,130 @@ TEST(KdeMonitorTest, SinglePointAndDuplicateFitsClassifyExactly) {
       }
     }
   }
+}
+
+// --------------------------------------------- floors at the guard value
+
+TEST(KdeMonitorTest, ThresholdsAtTheGuardClassifyExactly) {
+  // MonitorQueries' far cluster has a kernel sum of exactly 0, so its
+  // log-density is the guard itself; the other queries sit above it. A
+  // threshold at or below the guard takes the no-traversal exit, one ulp
+  // above it must flag exactly the far cluster.
+  for (KdeTreeBackend backend :
+       {KdeTreeBackend::kKdTree, KdeTreeBackend::kBallTree}) {
+    KdeOptions options;
+    options.tree_backend = backend;
+    options.leaf_size = 8;
+    Matrix train = RandomPoints(300, 3, 77);
+    Result<KernelDensity> kde = KernelDensity::Fit(train, options);
+    ASSERT_TRUE(kde.ok());
+    Matrix queries = MonitorQueries(train, 78);
+    std::vector<double> exact = kde.value().LogDensityAll(queries);
+    const double guard = kde.value().LogDensityGuard();
+    size_t at_guard = static_cast<size_t>(
+        std::count(exact.begin(), exact.end(), guard));
+    ASSERT_GT(at_guard, 0u);
+    ASSERT_LT(at_guard, queries.rows());
+
+    for (double threshold : {std::nextafter(guard, -1e300), guard,
+                             std::nextafter(guard, 1e300)}) {
+      for (size_t i = 0; i < queries.rows(); ++i) {
+        EXPECT_EQ(kde.value().LogDensityBelow(queries.RowPtr(i), threshold),
+                  exact[i] < threshold)
+            << "backend=" << static_cast<int>(backend) << " query=" << i
+            << " threshold=" << threshold;
+      }
+      for (size_t workers : {size_t{0}, size_t{2}}) {
+        ThreadPool pool(workers);
+        std::vector<uint8_t> batched(queries.rows(), 255);
+        kde.value().ClassifyBelowAllInto(queries, threshold, batched.data(),
+                                         &pool);
+        for (size_t i = 0; i < queries.rows(); ++i) {
+          EXPECT_EQ(batched[i], exact[i] < threshold ? 1 : 0)
+              << "backend=" << static_cast<int>(backend)
+              << " workers=" << workers << " query=" << i
+              << " threshold=" << threshold;
+        }
+      }
+    }
+  }
+}
+
+/// Training data for a routed snapshot whose calibrated floor collapses
+/// onto the guard: 300 Gaussian rows plus 8 rows at the corners of a cube
+/// of half-width 12 (2.6% of the fit). Each corner is many bandwidths from
+/// every other row, so its leave-one-out kernel sum is exactly 0 and the
+/// 1% floor is the guard value.
+Dataset GuardFloorTrainingData() {
+  Rng rng(90);
+  std::vector<double> x0, x1, x2;
+  std::vector<int> labels, groups;
+  for (size_t i = 0; i < 300; ++i) {
+    int g = rng.Bernoulli(0.4) ? 1 : 0;
+    x0.push_back(rng.Gaussian(g == 1 ? 0.6 : -0.6, 1.0));
+    x1.push_back(rng.Gaussian());
+    x2.push_back(rng.Gaussian());
+    labels.push_back(x0.back() + 0.5 * x1.back() + rng.Gaussian(0.0, 0.5) > 0.0
+                         ? 1
+                         : 0);
+    groups.push_back(g);
+  }
+  for (int corner = 0; corner < 8; ++corner) {
+    x0.push_back(corner & 1 ? 12.0 : -12.0);
+    x1.push_back(corner & 2 ? 12.0 : -12.0);
+    x2.push_back(corner & 4 ? 12.0 : -12.0);
+    labels.push_back(corner % 2);
+    groups.push_back(corner / 4);
+  }
+  Dataset data;
+  EXPECT_TRUE(data.AddNumericColumn("x0", std::move(x0)).ok());
+  EXPECT_TRUE(data.AddNumericColumn("x1", std::move(x1)).ok());
+  EXPECT_TRUE(data.AddNumericColumn("x2", std::move(x2)).ok());
+  EXPECT_TRUE(data.SetLabels(std::move(labels), 2).ok());
+  EXPECT_TRUE(data.SetGroups(std::move(groups)).ok());
+  return data;
+}
+
+TEST(KdeMonitorTest, SnapshotWithFloorAtGuardFlagsIdenticallyInEveryMode) {
+  Result<std::shared_ptr<const ModelSnapshot>> snapshot =
+      BuildSnapshot(GuardFloorTrainingData(), ServingSpec(Method::kDiffair));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const ModelSnapshot& s = *snapshot.value();
+  ASSERT_TRUE(s.routed());
+  ASSERT_TRUE(s.has_density());
+  const double guard = s.density()->LogDensityGuard();
+  ASSERT_EQ(s.density_floor(), guard);
+
+  // Requests: in-distribution rows, the corners themselves, and far rows
+  // whose kernel sum is 0 (log-density exactly at the floor).
+  Rng rng(91);
+  Matrix rows(96, 3);
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    for (size_t j = 0; j < 3; ++j) {
+      double v = rng.Gaussian();
+      if (i % 3 == 1) v = (i / 3) % 2 == 0 ? 12.0 : -12.0;
+      if (i % 3 == 2) v = 40.0 + v;
+      rows.At(i, j) = v;
+    }
+  }
+  auto score = [&](MonitorSpec monitor) {
+    ScoreScratch scratch;
+    EXPECT_TRUE(s.ScoreBatchInto(rows, &scratch, monitor, nullptr).ok());
+    return scratch.results;
+  };
+  std::vector<ScoreResult> exact = score({MonitorMode::kExact, 16});
+  std::vector<ScoreResult> bounded = score({MonitorMode::kBounded, 16});
+  std::vector<ScoreResult> sampled = score({MonitorMode::kSampled, 1});
+  size_t at_floor = 0;
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    if (exact[i].log_density == guard) ++at_floor;
+    EXPECT_TRUE(bounded[i].density_checked && sampled[i].density_checked);
+    EXPECT_EQ(bounded[i].density_outlier, exact[i].density_outlier)
+        << "row " << i;
+    EXPECT_EQ(sampled[i].density_outlier, exact[i].density_outlier)
+        << "row " << i;
+  }
+  EXPECT_GT(at_floor, 0u);
 }
 
 }  // namespace
