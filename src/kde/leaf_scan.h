@@ -12,7 +12,7 @@
 // they keep in flight:
 //
 // - The portable scan evaluates one quad at a time through two NegExpPair
-//   calls (what NegExpQuad does on hosts without AVX2).
+//   calls.
 // - The AVX2 scan takes 16 rows (four quads) per step. It computes their
 //   scaled squared distances as vector lanes, one row per lane, runs the
 //   four exp polynomials interleaved so their latency chains overlap, and
@@ -110,11 +110,11 @@ inline double LeafKernelSumPortable(const Matrix& points, size_t begin,
 
 #if defined(FAIRDRIFT_NEGEXP_HAVE_AVX2_PATH)
 /// Kernel values of the 4 * kQuads consecutive rows starting at `rows`
-/// (row stride `dim`) into e[0 .. 4 * kQuads), row order; quad k's rows
-/// are the lanes of one register.
+/// (row stride `stride`, first `dim` columns) into e[0 .. 4 * kQuads), row
+/// order; quad k's rows are the lanes of one register.
 template <int kQuads>
 __attribute__((target("avx2"))) inline void QuadKernelsAvx2(
-    const double* rows, size_t dim, const double* query,
+    const double* rows, size_t stride, size_t dim, const double* query,
     const double* inv_bandwidth, double* e) {
   __m256d u[kQuads];
   for (int k = 0; k < kQuads; ++k) u[k] = _mm256_setzero_pd();
@@ -128,13 +128,13 @@ __attribute__((target("avx2"))) inline void QuadKernelsAvx2(
     const __m256d b0 = _mm256_set1_pd(inv_bandwidth[j]);
     const __m256d b1 = _mm256_set1_pd(inv_bandwidth[j + 1]);
     for (int k = 0; k < kQuads; ++k) {
-      const double* x = rows + 4 * static_cast<size_t>(k) * dim + j;
+      const double* x = rows + 4 * static_cast<size_t>(k) * stride + j;
       __m256d r02 = _mm256_insertf128_pd(
-          _mm256_castpd128_pd256(_mm_loadu_pd(x)), _mm_loadu_pd(x + 2 * dim),
-          1);
+          _mm256_castpd128_pd256(_mm_loadu_pd(x)),
+          _mm_loadu_pd(x + 2 * stride), 1);
       __m256d r13 = _mm256_insertf128_pd(
-          _mm256_castpd128_pd256(_mm_loadu_pd(x + dim)),
-          _mm_loadu_pd(x + 3 * dim), 1);
+          _mm256_castpd128_pd256(_mm_loadu_pd(x + stride)),
+          _mm_loadu_pd(x + 3 * stride), 1);
       __m256d d0 =
           _mm256_mul_pd(_mm256_sub_pd(_mm256_unpacklo_pd(r02, r13), q0), b0);
       __m256d d1 =
@@ -147,10 +147,11 @@ __attribute__((target("avx2"))) inline void QuadKernelsAvx2(
     const __m256d qj = _mm256_set1_pd(query[j]);
     const __m256d bj = _mm256_set1_pd(inv_bandwidth[j]);
     for (int k = 0; k < kQuads; ++k) {
-      const double* x = rows + 4 * static_cast<size_t>(k) * dim + j;
+      const double* x = rows + 4 * static_cast<size_t>(k) * stride + j;
       __m256d d = _mm256_mul_pd(
-          _mm256_sub_pd(_mm256_set_pd(x[3 * dim], x[2 * dim], x[dim], x[0]),
-                        qj),
+          _mm256_sub_pd(
+              _mm256_set_pd(x[3 * stride], x[2 * stride], x[stride], x[0]),
+              qj),
           bj);
       u[k] = _mm256_add_pd(u[k], _mm256_mul_pd(d, d));
     }
@@ -167,20 +168,25 @@ __attribute__((target("avx2"))) inline void QuadKernelsAvx2(
 __attribute__((target("avx2"))) inline double LeafKernelSumAvx2(
     const Matrix& points, size_t begin, size_t end, size_t dim,
     const double* query, const double* inv_bandwidth) {
+  const size_t stride = points.cols();
   double acc = 0.0;
   size_t i = begin;
   double e[16] = {};
   for (; i + 15 < end; i += 16) {
-    QuadKernelsAvx2<4>(points.RowPtr(i), dim, query, inv_bandwidth, e);
+    QuadKernelsAvx2<4>(points.RowPtr(i), stride, dim, query, inv_bandwidth,
+                       e);
     for (int k = 0; k < 16; ++k) acc += e[k];
   }
   const size_t quads = (end - i) / 4;
   if (quads == 3) {
-    QuadKernelsAvx2<3>(points.RowPtr(i), dim, query, inv_bandwidth, e);
+    QuadKernelsAvx2<3>(points.RowPtr(i), stride, dim, query, inv_bandwidth,
+                       e);
   } else if (quads == 2) {
-    QuadKernelsAvx2<2>(points.RowPtr(i), dim, query, inv_bandwidth, e);
+    QuadKernelsAvx2<2>(points.RowPtr(i), stride, dim, query, inv_bandwidth,
+                       e);
   } else if (quads == 1) {
-    QuadKernelsAvx2<1>(points.RowPtr(i), dim, query, inv_bandwidth, e);
+    QuadKernelsAvx2<1>(points.RowPtr(i), stride, dim, query, inv_bandwidth,
+                       e);
   }
   for (size_t k = 0; k < 4 * quads; ++k) acc += e[k];
   i += 4 * quads;
@@ -191,7 +197,8 @@ __attribute__((target("avx2"))) inline double LeafKernelSumAvx2(
 }  // namespace leaf_scan_internal
 
 /// Sum over rows [begin, end) of `points` of
-/// exp(-0.5 * ||(row - query) * inv_bandwidth||^2). The accumulation is
+/// exp(-0.5 * ||(row - query) * inv_bandwidth||^2), over the first `dim`
+/// columns of each row (dim <= points.cols()). The accumulation is
 /// strictly sequential (results added in row order), so the sum is
 /// deterministic, the same on every host, and bitwise-shared between the
 /// iterative traversals and the recursive oracles that both call it.

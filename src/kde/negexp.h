@@ -3,15 +3,15 @@
 //
 // NegExpPair evaluates two kernels at once: on x86-64 it runs the
 // polynomial two-wide in SSE2 registers; elsewhere it falls back to two
-// scalar evaluations of the *same* arithmetic. NegExpQuad evaluates four:
-// on CPUs with AVX2 it runs the polynomial four-wide (dispatched at
-// runtime, so the build stays generic x86-64), otherwise it degrades to
-// two pair calls — on ARM the pair path is the scalar reference, so NEON
-// hosts are covered without ISA-specific code. Packed IEEE operations
-// round exactly like their scalar counterparts and the polynomial is pure
-// mul/add (no FMA contraction; AVX2 here never implies FMA), so all paths
-// produce bitwise-identical results — determinism does not depend on the
-// instruction set.
+// scalar evaluations of the *same* arithmetic. negexp_internal::NegExp4Avx2
+// evaluates four in one AVX2 register; the leaf scan (leaf_scan.h) picks
+// it at runtime behind HasAvx2(), so the build stays generic x86-64, and
+// scans with pair calls otherwise — on ARM the pair path is the scalar
+// reference, so NEON hosts are covered without ISA-specific code. Packed
+// IEEE operations round exactly like their scalar counterparts and the
+// polynomial is pure mul/add (no FMA contraction; AVX2 here never implies
+// FMA), so all paths produce bitwise-identical results — determinism does
+// not depend on the instruction set.
 //
 // Algorithm (Cephes-style): k = round(x / ln 2) via the 1.5 * 2^52 magic
 // constant, r = x - k*ln2 with a hi/lo split, e^r from a degree-11 Taylor
@@ -195,28 +195,8 @@ __attribute__((target("avx2"))) inline __m256d NegExp4Avx2(__m256d x) {
       _mm256_cmp_pd(x, _mm256_set1_pd(kUnderflow), _CMP_LT_OQ);
   return _mm256_andnot_pd(underflow, result);
 }
-
-/// NegExp4Avx2 from and to memory.
-__attribute__((target("avx2"))) inline void NegExpQuadAvx2(const double* x_in,
-                                                           double* e_out) {
-  _mm256_storeu_pd(e_out, NegExp4Avx2(_mm256_loadu_pd(x_in)));
-}
 }  // namespace negexp_internal
 #endif
-
-/// e[i] = exp(x[i]) for four x[i] <= 0, bitwise identical to NegExp lane
-/// by lane. Runs four-wide on AVX2 hosts (runtime-dispatched), otherwise
-/// as two NegExpPair calls sharing the identical arithmetic.
-inline void NegExpQuad(const double* x, double* e) {
-#if defined(FAIRDRIFT_NEGEXP_HAVE_AVX2_PATH)
-  if (HasAvx2()) {
-    negexp_internal::NegExpQuadAvx2(x, e);
-    return;
-  }
-#endif
-  NegExpPair(x[0], x[1], &e[0], &e[1]);
-  NegExpPair(x[2], x[3], &e[2], &e[3]);
-}
 
 }  // namespace fairdrift
 

@@ -209,7 +209,17 @@ TEST(NegExpTest, PairMatchesScalarBitwise) {
   }
 }
 
+#if defined(FAIRDRIFT_NEGEXP_HAVE_AVX2_PATH)
+// The leaf scan's four-wide exp, from and to memory.
+__attribute__((target("avx2"))) void NegExp4Avx2Memory(const double* x,
+                                                       double* e) {
+  _mm256_storeu_pd(e, negexp_internal::NegExp4Avx2(_mm256_loadu_pd(x)));
+}
+#endif
+
 TEST(NegExpTest, QuadMatchesScalarBitwise) {
+#if defined(FAIRDRIFT_NEGEXP_HAVE_AVX2_PATH)
+  if (!HasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
   // [-750, 0] spans the flush-to-zero edge; the fixed probes pin the edge
   // itself, its neighbours, and both ends.
   std::vector<double> xs = {0.0,
@@ -225,11 +235,14 @@ TEST(NegExpTest, QuadMatchesScalarBitwise) {
   while (xs.size() % 4 != 0) xs.push_back(-rng.Uniform(0.0, 750.0));
   for (size_t i = 0; i < xs.size(); i += 4) {
     double e[4];
-    NegExpQuad(&xs[i], e);
+    NegExp4Avx2Memory(&xs[i], e);
     for (size_t k = 0; k < 4; ++k) {
       EXPECT_EQ(e[k], NegExp(xs[i + k])) << "x = " << xs[i + k];
     }
   }
+#else
+  GTEST_SKIP() << "no AVX2 path in this build";
+#endif
 }
 
 // -------------------------------------------------------- leaf kernel scan
@@ -258,12 +271,16 @@ enum class LeafPoints { kRandom, kDuplicates, kFar, kMixed };
 // `n` points around `query`: Gaussian draws (kernels across the whole
 // range), exact copies of the query (kernel exactly 1), points far enough
 // that -0.5 * u < -708 (kernel flushed to 0), or a per-point mix of the
-// three, so one vector can hold lanes of every kind.
+// three, so one vector can hold lanes of every kind. The `extra_cols`
+// columns after the first query.size() hold values the scan must skip.
 Matrix LeafPointSet(LeafPoints kind, size_t n, const std::vector<double>& query,
-                    Rng* rng) {
+                    size_t extra_cols, Rng* rng) {
   size_t dim = query.size();
-  Matrix m(n, dim);
+  Matrix m(n, dim + extra_cols);
   for (size_t i = 0; i < n; ++i) {
+    for (size_t j = dim; j < dim + extra_cols; ++j) {
+      m.At(i, j) = rng->Gaussian(0.0, 50.0);
+    }
     LeafPoints k = kind;
     if (k == LeafPoints::kMixed) {
       k = static_cast<LeafPoints>(rng->UniformInt(0, 2));
@@ -291,7 +308,8 @@ using LeafScanFn = double (*)(const Matrix&, size_t, size_t, size_t,
 
 // Checks `scan` against ReferenceLeafScan over dims 1-12, leaf lengths
 // 1-70 (16-row blocks, leftover quads, and the pair and single-row tails
-// in every combination) and every point set.
+// in every combination), every point set, and matrices as wide as `dim`
+// or wider (rows then lie points.cols() apart, not dim).
 void ExpectScanMatchesReference(LeafScanFn scan) {
   Rng rng(62);
   for (size_t dim = 1; dim <= 12; ++dim) {
@@ -303,25 +321,28 @@ void ExpectScanMatchesReference(LeafScanFn scan) {
     }
     for (LeafPoints kind : {LeafPoints::kRandom, LeafPoints::kDuplicates,
                             LeafPoints::kFar, LeafPoints::kMixed}) {
-      // Rows start at an offset inside the matrix: the scans must honour
-      // `begin`.
-      const size_t offset = 3;
-      Matrix points = LeafPointSet(kind, offset + 70, query, &rng);
-      for (size_t len = 1; len <= 70; ++len) {
-        size_t begin = offset;
-        size_t end = offset + len;
-        double expected = ReferenceLeafScan(points, begin, end, dim,
-                                            query.data(), inv_h.data());
-        if (kind == LeafPoints::kDuplicates) {
-          ASSERT_EQ(expected, static_cast<double>(len));
+      for (size_t extra_cols : {size_t{0}, size_t{3}}) {
+        // Rows start at an offset inside the matrix: the scans must honour
+        // `begin`.
+        const size_t offset = 3;
+        Matrix points =
+            LeafPointSet(kind, offset + 70, query, extra_cols, &rng);
+        for (size_t len = 1; len <= 70; ++len) {
+          size_t begin = offset;
+          size_t end = offset + len;
+          double expected = ReferenceLeafScan(points, begin, end, dim,
+                                              query.data(), inv_h.data());
+          if (kind == LeafPoints::kDuplicates) {
+            ASSERT_EQ(expected, static_cast<double>(len));
+          }
+          if (kind == LeafPoints::kFar) {
+            ASSERT_EQ(expected, 0.0);
+          }
+          EXPECT_EQ(scan(points, begin, end, dim, query.data(), inv_h.data()),
+                    expected)
+              << "dim " << dim << ", point set " << static_cast<int>(kind)
+              << ", extra columns " << extra_cols << ", leaf length " << len;
         }
-        if (kind == LeafPoints::kFar) {
-          ASSERT_EQ(expected, 0.0);
-        }
-        EXPECT_EQ(scan(points, begin, end, dim, query.data(), inv_h.data()),
-                  expected)
-            << "dim " << dim << ", point set " << static_cast<int>(kind)
-            << ", leaf length " << len;
       }
     }
   }
