@@ -54,37 +54,25 @@ Status AttachDensityMonitor(const Dataset& fit_data, const TrainSpec& spec,
                             FittedArtifacts* artifacts) {
   Matrix numeric = fit_data.NumericMatrix();
   if (numeric.cols() == 0) return Status::OK();  // nothing to monitor
-  std::shared_ptr<const KernelDensity> density;
-  if (spec.density_kde.use_fit_cache) {
-    Result<std::shared_ptr<const KernelDensity>> fitted =
-        GlobalKdeCache().FitOrGet(
-            numeric, spec.density_kde,
-            KdeCacheHint{fit_data.version(), 0, kKdeHintSpaceFullDataset});
-    if (!fitted.ok()) return fitted.status();
-    density = std::move(fitted).value();
-  } else {
-    Result<KernelDensity> fitted =
-        KernelDensity::Fit(numeric, spec.density_kde);
-    if (!fitted.ok()) return fitted.status();
-    density =
-        std::make_shared<const KernelDensity>(std::move(fitted).value());
-  }
+  Result<std::shared_ptr<const KernelDensity>> fitted = FitThroughCache(
+      numeric, spec.density_kde,
+      KdeCacheHint{fit_data.version(), 0, kKdeHintSpaceFullDataset});
+  if (!fitted.ok()) return fitted.status();
+  std::shared_ptr<const KernelDensity> density = std::move(fitted).value();
   // Leave-one-out calibration: a serve-time query never contributes a
   // self kernel term, but a training row's plain LogDensity does (and in
   // small-n / high-d fits that term dominates the sum). Quantiling the
   // self-inflated values would place the floor at roughly the self-term
   // level, flagging a large fraction of genuinely in-distribution
   // traffic — and parking every query in the near-threshold band where
-  // bounded classification degenerates to full evaluation.
-  std::vector<double> logd = density->LeaveOneOutLogDensityAll(numeric);
-  std::sort(logd.begin(), logd.end());
-  double q = std::clamp(spec.density_outlier_quantile, 0.0, 1.0);
-  size_t idx = static_cast<size_t>(
-      q * static_cast<double>(logd.size() == 0 ? 0 : logd.size() - 1));
+  // bounded classification degenerates to full evaluation. The quantile
+  // selection computes only the rows the floor can depend on, with the
+  // bits of sorting every row's value (Fit has rejected a NaN quantile).
+  Result<double> floor = density->LeaveOneOutLogDensityQuantile(
+      numeric, std::clamp(spec.density_outlier_quantile, 0.0, 1.0));
+  if (!floor.ok()) return floor.status();
   artifacts->density = std::move(density);
-  artifacts->density_floor = logd.empty()
-                                 ? -std::numeric_limits<double>::infinity()
-                                 : logd[idx];
+  artifacts->density_floor = floor.value();
   artifacts->density_train = std::move(numeric);
   return Status::OK();
 }
@@ -123,6 +111,11 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
   if (train.empty() || !train.has_labels()) {
     return Status::InvalidArgument(
         "Fit: training split needs rows and labels");
+  }
+  if (spec.include_density && std::isnan(spec.density_outlier_quantile)) {
+    // std::clamp passes NaN through, and no rank of the training rows
+    // corresponds to it.
+    return Status::InvalidArgument("Fit: density_outlier_quantile is NaN");
   }
   bool needs_groups =
       spec.method != Method::kNoIntervention || spec.include_profile;
@@ -187,7 +180,13 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
       artifacts.spec.confair = confair;  // resolved degrees travel along
       Result<ConfairWeights> weights = ComputeConfairWeights(train, confair);
       if (!weights.ok()) return weights.status();
-      artifacts.training_weights = std::move(weights).value().weights;
+      artifacts.training_weights = std::move(weights.value().weights);
+      if (spec.include_profile) {
+        // The profile the weights came from is the serving profile: same
+        // data, same spec.confair.profile (tuning only moves the alphas).
+        artifacts.profile = std::move(weights.value().profile);
+        artifacts.has_profile = true;
+      }
       break;
     }
 
@@ -268,13 +267,10 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
     artifacts.route = ServingRoute::kSingleModel;
   }
 
-  // Optional serving artifacts. DIFFAIR already owns its routing profile.
+  // Optional serving artifacts. DIFFAIR and CONFAIR already hold theirs.
   if (spec.include_profile && !artifacts.has_profile) {
-    ProfileOptions profile_options = spec.method == Method::kConfair
-                                         ? spec.confair.profile
-                                         : spec.profile;
     Result<GroupLabelProfile> profile =
-        GroupLabelProfile::Profile(*fit_data, profile_options);
+        GroupLabelProfile::Profile(*fit_data, spec.profile);
     if (!profile.ok()) return profile.status();
     artifacts.profile = std::move(profile).value();
     artifacts.has_profile = true;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "util/parallel.h"
 #include "util/string_util.h"
@@ -125,6 +126,7 @@ Result<ConfairWeights> ComputeConfairWeights(const Dataset& train,
   size_t n = train.size();
   ConfairWeights out;
   out.plan = plan_value;
+  out.profile = std::move(profile).value();
   out.weights.assign(n, 0.0);  // line 1 of the pseudo-code
 
   // Line 5: skew balancing S += P(Y=y_t) * |G_t| / |G_t ∩ y_t|.
@@ -151,7 +153,7 @@ Result<ConfairWeights> ComputeConfairWeights(const Dataset& train,
          y == out.plan.secondary_label && options.alpha_w > 0.0);
     if (!is_primary && !is_secondary) return;
 
-    const std::optional<ConstraintSet>& cs = profile.value().cell(g, y);
+    const std::optional<ConstraintSet>& cs = out.profile.cell(g, y);
     if (!cs.has_value()) return;
     if (cs->Violation(numeric.RowPtr(i)) > 0.0) return;  // conforming only
     marks[i] = is_primary ? kPrimary : kSecondary;

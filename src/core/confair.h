@@ -78,6 +78,10 @@ struct ConfairWeights {
   size_t boosted_primary = 0;
   size_t boosted_secondary = 0;
   ConfairBoostPlan plan;
+  /// The (group x label) profile the boosts were derived from (lines 2-4,
+  /// profiled with ConfairOptions::profile). Fit attaches it as the
+  /// serving profile instead of profiling the same data again.
+  GroupLabelProfile profile;
 };
 
 /// Runs Algorithm 2 on `train` and returns the derived weights.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "kde/kde_cache.h"
 #include "util/parallel.h"
@@ -10,19 +11,31 @@ namespace fairdrift {
 
 namespace {
 
-// One (group x label) cell's slice of the filtering work. Cells are
-// independent, so they are ranked in parallel; the merge happens on the
-// caller's thread in deterministic cell order.
-struct CellTask {
+// One (group x label) cell the filter ranks: its rows, how many of them to
+// keep, and the estimator fitted on its numeric attributes.
+struct RankedCell {
   std::vector<size_t> indices;  // dataset row ids of the cell
   size_t keep = 0;              // how many of them to keep
   uint64_t cell_slot = 0;       // g * num_classes + y (fingerprint memo slot)
+  Matrix numeric;
+  std::shared_ptr<const KernelDensity> kde;  // null: no numeric attributes
 };
 
-struct CellOutcome {
-  std::vector<size_t> kept;
-  Status status;
-};
+Status FitCell(const Dataset& data, const KdeOptions& options,
+               RankedCell* cell) {
+  cell->numeric = data.Subset(cell->indices).NumericMatrix();
+  if (cell->numeric.cols() == 0) return Status::OK();
+  // The (dataset version, cell) hint lets the fit cache skip the O(nd)
+  // content rehash when the same unmutated dataset is profiled again
+  // (tuning grids, repeated trials).
+  Result<std::shared_ptr<const KernelDensity>> fitted = FitThroughCache(
+      cell->numeric, options,
+      KdeCacheHint{data.version(), cell->cell_slot,
+                   kKdeHintSpaceDensityFilterCell});
+  if (!fitted.ok()) return fitted.status();
+  cell->kde = std::move(fitted).value();
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -37,64 +50,71 @@ Result<std::vector<size_t>> DensityFilterIndices(
         "DensityFilter: keep_fraction must be in (0, 1]");
   }
 
-  std::vector<size_t> kept;
-  std::vector<CellTask> tasks;
-  for (int g = 0; g < data.num_groups(); ++g) {
-    for (int y = 0; y < data.num_classes(); ++y) {
-      std::vector<size_t> cell = data.CellIndices(g, y);
-      if (cell.empty()) continue;
-
-      size_t k = static_cast<size_t>(std::ceil(
-          options.keep_fraction * static_cast<double>(cell.size())));
-      k = std::max(k, std::min(options.min_cell_size, cell.size()));
-      if (k >= cell.size()) {
-        kept.insert(kept.end(), cell.begin(), cell.end());
-        continue;
-      }
-      uint64_t slot = static_cast<uint64_t>(g) *
-                          static_cast<uint64_t>(data.num_classes()) +
-                      static_cast<uint64_t>(y);
-      tasks.push_back({std::move(cell), k, slot});
-    }
+  // Bucket the rows by cell in one pass (ascending, as CellIndices lists
+  // them): a CellIndices scan per cell is O(n) each, which dominates when
+  // there are hundreds of small cells.
+  const size_t num_classes = static_cast<size_t>(data.num_classes());
+  std::vector<std::vector<size_t>> by_cell(
+      static_cast<size_t>(data.num_groups()) * num_classes);
+  for (size_t i = 0; i < data.size(); ++i) {
+    by_cell[static_cast<size_t>(data.groups()[i]) * num_classes +
+            static_cast<size_t>(data.labels()[i])]
+        .push_back(i);
   }
 
-  // Rank each undersized cell by KDE density on the pool. The KDE's own
-  // EvaluateAll is parallel too; entered from a worker it degrades to an
-  // inline loop, so cell-level parallelism wins when there are many small
-  // cells and query-level parallelism wins when there are few big ones.
-  // DensityRanking resolves its fit through the global KdeCache, so
-  // repeated filters over the same training split (tuning grids, repeated
-  // bench trials) reuse one fitted estimator per cell.
-  std::vector<CellOutcome> outcomes = ParallelMap<CellOutcome>(
-      tasks.size(), [&](size_t t) -> CellOutcome {
-        const CellTask& task = tasks[t];
-        CellOutcome out;
-        Matrix cell_numeric = data.Subset(task.indices).NumericMatrix();
-        if (cell_numeric.cols() == 0) {
-          // No numeric attributes to rank on: keep the cell whole.
-          out.kept = task.indices;
-          return out;
-        }
-        // The (dataset version, cell) hint lets the fit cache skip the
-        // O(nd) content rehash when the same unmutated dataset is
-        // profiled again (tuning grids, repeated trials).
-        Result<std::vector<size_t>> ranking = DensityRankingWithHint(
-            cell_numeric, options.kde,
-            KdeCacheHint{data.version(), task.cell_slot,
-                         kKdeHintSpaceDensityFilterCell});
-        if (!ranking.ok()) {
-          out.status = ranking.status();
-          return out;
-        }
-        out.kept.reserve(task.keep);
-        for (size_t i = 0; i < task.keep; ++i) {
-          out.kept.push_back(task.indices[ranking.value()[i]]);
-        }
-        return out;
-      });
-  for (const CellOutcome& out : outcomes) {
-    if (!out.status.ok()) return out.status;
-    kept.insert(kept.end(), out.kept.begin(), out.kept.end());
+  std::vector<size_t> kept;
+  std::vector<RankedCell> cells;
+  for (size_t slot = 0; slot < by_cell.size(); ++slot) {
+    std::vector<size_t>& cell = by_cell[slot];
+    if (cell.empty()) continue;
+    size_t k = static_cast<size_t>(std::ceil(
+        options.keep_fraction * static_cast<double>(cell.size())));
+    k = std::max(k, std::min(options.min_cell_size, cell.size()));
+    if (k >= cell.size()) {
+      kept.insert(kept.end(), cell.begin(), cell.end());
+      continue;
+    }
+    RankedCell ranked;
+    ranked.indices = std::move(cell);
+    ranked.keep = k;
+    ranked.cell_slot = slot;
+    cells.push_back(std::move(ranked));
+  }
+
+  // Fit the cells in parallel (through the global KdeCache unless the
+  // options opt out), then evaluate every row of every cell in one flat
+  // loop: the pool balances rows, not cells, so one dominant cell spreads
+  // over every worker and many small cells share them alike. Each row's
+  // density is the value the cell's own EvaluateAll would return.
+  std::vector<Status> fitted = ParallelMap<Status>(
+      cells.size(),
+      [&](size_t t) { return FitCell(data, options.kde, &cells[t]); });
+  for (const Status& st : fitted) FAIRDRIFT_RETURN_IF_ERROR(st);
+  std::vector<size_t> offset(cells.size() + 1, 0);
+  for (size_t t = 0; t < cells.size(); ++t) {
+    offset[t + 1] = offset[t] + (cells[t].kde ? cells[t].numeric.rows() : 0);
+  }
+  std::vector<double> density(offset.back());
+  ParallelForEach(0, density.size(), nullptr, [&](size_t i) {
+    const size_t t = static_cast<size_t>(
+        std::upper_bound(offset.begin(), offset.end(), i) - offset.begin() -
+        1);
+    density[i] =
+        cells[t].kde->Evaluate(cells[t].numeric.RowPtr(i - offset[t]));
+  });
+
+  for (size_t t = 0; t < cells.size(); ++t) {
+    const RankedCell& cell = cells[t];
+    if (!cell.kde) {
+      // No numeric attributes to rank on: keep the cell whole.
+      kept.insert(kept.end(), cell.indices.begin(), cell.indices.end());
+      continue;
+    }
+    std::vector<size_t> order =
+        DescendingDensityOrder(density.data() + offset[t], cell.numeric.rows());
+    for (size_t i = 0; i < cell.keep; ++i) {
+      kept.push_back(cell.indices[order[i]]);
+    }
   }
 
   if (kept.empty()) {

@@ -119,15 +119,118 @@ void KernelDensity::LogDensityAllInto(const Matrix& queries, double* out,
                   [&](size_t i) { out[i] = LogDensity(queries.RowPtr(i)); });
 }
 
+double KernelDensity::LeaveOneOutLogDensity(const double* row) const {
+  double sum = KernelSum(row, &ThreadLocalTraversalScratch());
+  sum -= 1.0;  // the row's own kernel term: exp(0) for a fitted point
+  return sum <= 0.0 ? LogDensityGuard() : std::log(sum) + log_norm_;
+}
+
 std::vector<double> KernelDensity::LeaveOneOutLogDensityAll(
     const Matrix& queries, ThreadPool* pool) const {
   std::vector<double> out(queries.rows());
   ParallelForEach(0, queries.rows(), pool, [&](size_t i) {
-    double sum = KernelSum(queries.RowPtr(i), &ThreadLocalTraversalScratch());
-    sum -= 1.0;  // the row's own kernel term: exp(0) for a fitted point
-    out[i] = sum <= 0.0 ? LogDensityGuard() : std::log(sum) + log_norm_;
+    out[i] = LeaveOneOutLogDensity(queries.RowPtr(i));
   });
   return out;
+}
+
+namespace kde_internal {
+
+double LooClearanceSum(double threshold, double log_norm) {
+  return 1.0 + std::max(2.0 * std::exp(threshold - log_norm), 1e-9);
+}
+
+}  // namespace kde_internal
+
+Result<double> KernelDensity::LeaveOneOutLogDensityQuantile(
+    const Matrix& queries, double q, ThreadPool* pool) const {
+  const size_t n = queries.rows();
+  if (n == 0 || queries.cols() == 0) {
+    return Status::InvalidArgument(
+        "LeaveOneOutLogDensityQuantile: empty query matrix");
+  }
+  if (queries.cols() != bandwidth_.size()) {
+    return Status::InvalidArgument(
+        "LeaveOneOutLogDensityQuantile: query width differs from the fit's");
+  }
+  if (!(q >= 0.0 && q <= 1.0)) {
+    return Status::InvalidArgument(
+        "LeaveOneOutLogDensityQuantile: q must be in [0, 1]");
+  }
+  const size_t rank = static_cast<size_t>(q * static_cast<double>(n - 1));
+  // logd[i] is row i's exact value once exact[i] is set. The reference is
+  // std::sort over the full vector in row order, so the fallback rebuilds
+  // exactly that vector and sorts it the same way.
+  std::vector<double> logd(n);
+  std::vector<uint8_t> exact(n, 0);
+  auto sort_all = [&]() -> double {
+    ParallelForEach(0, n, pool, [&](size_t i) {
+      if (!exact[i]) logd[i] = LeaveOneOutLogDensity(queries.RowPtr(i));
+    });
+    std::sort(logd.begin(), logd.end());
+    return logd[rank];
+  };
+  const double pilot_q = 2.0 * q + 0.01;
+  if (pilot_q >= 1.0) return sort_all();
+
+  constexpr size_t kPilotStride = 16;
+  std::vector<double> pilot((n + kPilotStride - 1) / kPilotStride);
+  ParallelForEach(0, pilot.size(), pool, [&](size_t k) {
+    const size_t i = k * kPilotStride;
+    logd[i] = LeaveOneOutLogDensity(queries.RowPtr(i));
+    exact[i] = 1;
+    pilot[k] = logd[i];
+  });
+  for (double v : pilot) {
+    if (std::isnan(v)) return sort_all();
+  }
+  std::sort(pilot.begin(), pilot.end());
+  const double threshold = pilot[static_cast<size_t>(
+      pilot_q * static_cast<double>(pilot.size() - 1))];
+
+  // A row is cleared when its kernel sum provably reaches the clearance
+  // level: its value then exceeds the threshold, so it cannot be at or
+  // below a rank-th candidate that is itself <= the threshold.
+  const double clear_sum = kde_internal::LooClearanceSum(threshold, log_norm_);
+  const ClassifySlack slack = Slack();
+  ParallelForEach(0, n, pool, [&](size_t i) {
+    if (exact[i]) return;  // pilot row
+    const double* row = queries.RowPtr(i);
+    if (ClassifySum(row, clear_sum, slack) > 0) return;
+    logd[i] = LeaveOneOutLogDensity(row);
+    exact[i] = 1;
+  });
+  std::vector<double> candidates;
+  for (size_t i = 0; i < n; ++i) {
+    if (!exact[i]) continue;
+    if (std::isnan(logd[i])) return sort_all();
+    candidates.push_back(logd[i]);
+  }
+  if (rank < candidates.size()) {
+    std::sort(candidates.begin(), candidates.end());
+    if (candidates[rank] <= threshold) return candidates[rank];
+  }
+  return sort_all();
+}
+
+KernelDensity::ClassifySlack KernelDensity::Slack() const {
+  ClassifySlack slack;
+  slack.rel = (atol_ > 0.0 ? atol_ : 0.0) + 1e-9;
+  slack.abs =
+      static_cast<double>(n_) * ((atol_ > 0.0 ? atol_ * atol_ : 0.0) + 1e-12);
+  return slack;
+}
+
+int KernelDensity::ClassifySum(const double* point, double threshold_sum,
+                               const ClassifySlack& slack) const {
+  TraversalScratch* scratch = &ThreadLocalTraversalScratch();
+  return backend_ == KdeTreeBackend::kKdTree
+             ? tree_.ClassifyKernelSum(point, inv_bandwidth_.data(),
+                                       scaled_bounds_, threshold_sum,
+                                       slack.rel, slack.abs, scratch)
+             : ball_tree_.ClassifyKernelSum(point, inv_bandwidth_.data(),
+                                            scaled_bounds_, threshold_sum,
+                                            slack.rel, slack.abs, scratch);
 }
 
 bool KernelDensity::LogDensityBelow(const double* point,
@@ -150,22 +253,7 @@ bool KernelDensity::LogDensityBelow(const double* point,
   // which the guard below routes to the fallback).
   double threshold_sum = std::exp(threshold - log_norm_);
   if (threshold_sum > 1e-280 && threshold_sum < 1e280) {
-    // Slack contract (see ClassifyKernelSum): the relative term covers the
-    // oracle's near-node geometric-mean settling (error <= atol relative
-    // per settled node) plus float accumulation; the absolute term covers
-    // far-node settles (<= atol^2 per point), dropped negligible nodes,
-    // and float error relative to the summed magnitudes.
-    double eps_rel = (atol_ > 0.0 ? atol_ : 0.0) + 1e-9;
-    double eps_abs = static_cast<double>(n_) *
-                     ((atol_ > 0.0 ? atol_ * atol_ : 0.0) + 1e-12);
-    TraversalScratch* scratch = &ThreadLocalTraversalScratch();
-    int c = backend_ == KdeTreeBackend::kKdTree
-                ? tree_.ClassifyKernelSum(point, inv_bandwidth_.data(),
-                                          scaled_bounds_, threshold_sum,
-                                          eps_rel, eps_abs, scratch)
-                : ball_tree_.ClassifyKernelSum(point, inv_bandwidth_.data(),
-                                               scaled_bounds_, threshold_sum,
-                                               eps_rel, eps_abs, scratch);
+    int c = ClassifySum(point, threshold_sum, Slack());
     if (c != 0) return c < 0;
   }
   return LogDensity(point) < threshold;
@@ -183,21 +271,11 @@ void KernelDensity::ClassifyBelowAllInto(const Matrix& queries,
   }
   double threshold_sum = std::exp(threshold - log_norm_);
   bool in_range = threshold_sum > 1e-280 && threshold_sum < 1e280;
-  double eps_rel = (atol_ > 0.0 ? atol_ : 0.0) + 1e-9;
-  double eps_abs = static_cast<double>(n_) *
-                   ((atol_ > 0.0 ? atol_ * atol_ : 0.0) + 1e-12);
+  const ClassifySlack slack = Slack();
   ParallelForEach(0, queries.rows(), pool, [&](size_t i) {
     const double* q = queries.RowPtr(i);
     if (in_range) {
-      TraversalScratch* scratch = &ThreadLocalTraversalScratch();
-      int c = backend_ == KdeTreeBackend::kKdTree
-                  ? tree_.ClassifyKernelSum(q, inv_bandwidth_.data(),
-                                            scaled_bounds_, threshold_sum,
-                                            eps_rel, eps_abs, scratch)
-                  : ball_tree_.ClassifyKernelSum(q, inv_bandwidth_.data(),
-                                                 scaled_bounds_,
-                                                 threshold_sum, eps_rel,
-                                                 eps_abs, scratch);
+      int c = ClassifySum(q, threshold_sum, slack);
       if (c != 0) {
         out[i] = c < 0 ? 1 : 0;
         return;
@@ -277,25 +355,15 @@ Result<KernelDensity> KernelDensity::LoadFittedFrom(BinaryReader* r) {
 Result<std::vector<size_t>> DensityRanking(const Matrix& data,
                                            const KdeOptions& options,
                                            ThreadPool* pool) {
-  return DensityRankingWithHint(data, options, KdeCacheHint{}, pool);
+  Result<std::shared_ptr<const KernelDensity>> kde =
+      FitThroughCache(data, options);
+  if (!kde.ok()) return kde.status();
+  std::vector<double> density = kde.value()->EvaluateAll(data, pool);
+  return DescendingDensityOrder(density.data(), density.size());
 }
 
-Result<std::vector<size_t>> DensityRankingWithHint(const Matrix& data,
-                                                   const KdeOptions& options,
-                                                   const KdeCacheHint& hint,
-                                                   ThreadPool* pool) {
-  std::vector<double> density;
-  if (options.use_fit_cache) {
-    Result<std::shared_ptr<const KernelDensity>> kde =
-        GlobalKdeCache().FitOrGet(data, options, hint);
-    if (!kde.ok()) return kde.status();
-    density = kde.value()->EvaluateAll(data, pool);
-  } else {
-    Result<KernelDensity> kde = KernelDensity::Fit(data, options);
-    if (!kde.ok()) return kde.status();
-    density = kde.value().EvaluateAll(data, pool);
-  }
-  std::vector<size_t> order(data.rows());
+std::vector<size_t> DescendingDensityOrder(const double* density, size_t n) {
+  std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return density[a] > density[b];

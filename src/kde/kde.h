@@ -97,19 +97,38 @@ class KernelDensity {
   /// Leave-one-out log-densities: LogDensity with the query's own kernel
   /// term (exp(0) = 1) subtracted from the kernel sum before taking the
   /// log. Only meaningful when every row of `queries` is one of the
-  /// fitted points — the intended caller is floor calibration over the
-  /// training matrix itself. A training row's plain LogDensity is
-  /// inflated by its self-term, which a serve-time query never carries;
-  /// in small-n / high-d regimes the self-term dominates the sum, so a
-  /// floor quantiled over self-inflated values systematically over-flags
-  /// in-distribution traffic. The same fit-time normalization is kept
-  /// (log n, not log(n-1)): the floor must live on the same scale as the
-  /// serve-time LogDensity it is compared against, and the uniform
-  /// log(n/(n-1)) offset is irrelevant to a quantile threshold. Rows
-  /// whose neighbors contribute nothing hit the same underflow floor as
-  /// LogDensity.
+  /// fitted points: these are the values the density monitor's floor is a
+  /// quantile of. A training row's plain LogDensity is inflated by its
+  /// self-term, which a serve-time query never carries; in small-n /
+  /// high-d regimes the self-term dominates the sum, so a floor quantiled
+  /// over self-inflated values systematically over-flags in-distribution
+  /// traffic. The same fit-time normalization is kept (log n, not
+  /// log(n-1)): the floor must live on the same scale as the serve-time
+  /// LogDensity it is compared against, and the uniform log(n/(n-1))
+  /// offset is irrelevant to a quantile threshold. Rows whose neighbors
+  /// contribute nothing hit the same underflow floor as LogDensity. The
+  /// floor calibration itself calls LeaveOneOutLogDensityQuantile, which
+  /// computes only the rows its quantile can depend on; this full pass is
+  /// its reference and its fallback.
   std::vector<double> LeaveOneOutLogDensityAll(
       const Matrix& queries, ThreadPool* pool = nullptr) const;
+
+  /// sorted(LeaveOneOutLogDensityAll(queries))[floor(q * (n - 1))], bit
+  /// for bit, for every worker count and tree backend: the density
+  /// monitor's floor (core/artifacts.cc). It computes every 16th row
+  /// exactly (the pilot) and takes the pilot's min(1, 2q + 0.01) quantile
+  /// as a provisional threshold T. ClassifyKernelSum then clears every row
+  /// whose kernel sum provably reaches kde_internal::LooClearanceSum(T);
+  /// such a row's leave-one-out log-density exceeds T by about log 2, so
+  /// only the rows not cleared are computed exactly. When the candidate
+  /// of rank floor(q * (n - 1)) is <= T, it is the answer: every cleared
+  /// row lies above it. Otherwise, or when any computed value is NaN, the
+  /// rows still missing are computed and the full vector is sorted, so no
+  /// row is ever computed twice; 2q + 0.01 >= 1 takes that single pass
+  /// directly. Fails InvalidArgument on an empty matrix, a column count
+  /// other than the fit's, or a q that is NaN or outside [0, 1].
+  Result<double> LeaveOneOutLogDensityQuantile(
+      const Matrix& queries, double q, ThreadPool* pool = nullptr) const;
 
   /// True iff LogDensity(point) < threshold — the density monitor's
   /// outlier predicate — decided from the fit-time per-node bounds
@@ -171,6 +190,28 @@ class KernelDensity {
   /// traversal state lives in `scratch`).
   double KernelSum(const double* point, TraversalScratch* scratch) const;
 
+  /// One LeaveOneOutLogDensityAll entry: the kernel sum at the fitted
+  /// point `row` minus its own term (thread-local scratch).
+  double LeaveOneOutLogDensity(const double* row) const;
+
+  /// Slack the bound classification allows against the kernel-sum oracle.
+  /// The relative term covers the oracle's near-node geometric-mean
+  /// settling (error <= atol relative per settled node) plus float
+  /// accumulation; the absolute term covers far-node settles (<= atol^2
+  /// per point), dropped negligible nodes, and float error relative to the
+  /// summed magnitudes. Depends on the fit only.
+  struct ClassifySlack {
+    double rel = 0.0;
+    double abs = 0.0;
+  };
+  ClassifySlack Slack() const;
+
+  /// The configured backend's ClassifyKernelSum at `point` (thread-local
+  /// scratch): 1 when the oracle's kernel sum is provably >=
+  /// `threshold_sum`, -1 when provably below it, 0 when undecided.
+  int ClassifySum(const double* point, double threshold_sum,
+                  const ClassifySlack& slack) const;
+
   /// Builds scaled_bounds_ for the configured backend; run eagerly at the
   /// end of Fit and LoadFittedFrom so fitted and loaded estimators carry
   /// identical state (including ApproxMemoryBytes).
@@ -190,7 +231,20 @@ class KernelDensity {
   size_t n_ = 0;
 };
 
-struct KdeCacheHint;  // kde/kde_cache.h
+namespace kde_internal {
+
+/// The kernel-sum level at or above which LeaveOneOutLogDensityQuantile
+/// clears a row against the pilot threshold `threshold` of a fit with
+/// log-normalizer `log_norm`: 1 + max(2 exp(threshold - log_norm), 1e-9).
+/// A row whose kernel sum reaches it keeps a leave-one-out sum of at least
+/// 2 exp(threshold - log_norm) (up to one rounding of 1 + x), so its
+/// leave-one-out log-density exceeds the threshold by about log 2 — far
+/// more than the rounding of the exp, log and sum - 1.0 steps. The 1e-9
+/// floor keeps a threshold at the guard, where the exp underflows, from
+/// clearing a row whose leave-one-out sum is 0.
+double LooClearanceSum(double threshold, double log_norm);
+
+}  // namespace kde_internal
 
 /// Ranks the rows of `data` by KDE density (self-evaluation) and returns
 /// row indices in descending density order. This is the sort step of the
@@ -202,14 +256,10 @@ Result<std::vector<size_t>> DensityRanking(const Matrix& data,
                                            const KdeOptions& options = {},
                                            ThreadPool* pool = nullptr);
 
-/// DensityRanking with an O(1) cache-lookup hint: callers that derive
-/// `data` from a Dataset pass (dataset version, view slot) so the fit
-/// cache can skip the O(nd) content rehash on repeated lookups (see
-/// KdeCacheHint).
-Result<std::vector<size_t>> DensityRankingWithHint(const Matrix& data,
-                                                   const KdeOptions& options,
-                                                   const KdeCacheHint& hint,
-                                                   ThreadPool* pool = nullptr);
+/// The ranking step of DensityRanking over precomputed densities: indices
+/// 0..n-1 in descending `density` order, ties in index order (a stable
+/// sort). The density filter ranks its cells through this too.
+std::vector<size_t> DescendingDensityOrder(const double* density, size_t n);
 
 }  // namespace fairdrift
 

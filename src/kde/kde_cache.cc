@@ -193,4 +193,14 @@ KdeCache& GlobalKdeCache() {
   return *cache;
 }
 
+Result<std::shared_ptr<const KernelDensity>> FitThroughCache(
+    const Matrix& data, const KdeOptions& options, const KdeCacheHint& hint) {
+  if (options.use_fit_cache) {
+    return GlobalKdeCache().FitOrGet(data, options, hint);
+  }
+  Result<KernelDensity> fitted = KernelDensity::Fit(data, options);
+  if (!fitted.ok()) return fitted.status();
+  return std::make_shared<const KernelDensity>(std::move(fitted).value());
+}
+
 }  // namespace fairdrift

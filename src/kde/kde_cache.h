@@ -168,6 +168,13 @@ class KdeCache {
 /// KdeOptions::use_fit_cache is set.
 KdeCache& GlobalKdeCache();
 
+/// Fits `data` the way every call site does: through GlobalKdeCache()
+/// (with `hint`) when options.use_fit_cache is set, else as a private
+/// estimator nothing else shares.
+Result<std::shared_ptr<const KernelDensity>> FitThroughCache(
+    const Matrix& data, const KdeOptions& options,
+    const KdeCacheHint& hint = {});
+
 }  // namespace fairdrift
 
 #endif  // FAIRDRIFT_KDE_KDE_CACHE_H_

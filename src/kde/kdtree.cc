@@ -390,7 +390,7 @@ int KdTree::ClassifyKernelSum(const double* query, const double* inv_bandwidth,
   // dense or clearly empty neighbourhoods that happens a few interior
   // levels deep, with zero leaf scans. The slacks absorb float
   // accumulation error plus the oracle's atol settling error (the caller
-  // sizes them; see KernelDensity::ClassifyBelow).
+  // sizes them; see KernelDensity::Slack).
   assert(scaled_bounds.size() == 2 * node_begin_.size() * dim_);
   auto& stack = scratch->stack;
   auto& values = scratch->values;

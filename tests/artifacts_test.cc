@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "data/split.h"
+#include "kde/kde_cache.h"
 #include "util/rng.h"
 
 namespace fairdrift {
@@ -202,6 +206,73 @@ TEST(ArtifactsTest, TrainingWeightsExposed) {
     if (std::abs(w - 1.0) > 1e-9) any_reweighed = true;
   }
   EXPECT_TRUE(any_reweighed);
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// CONFAIR profiles its training data once: Fit attaches the profile the
+// weights were derived from instead of profiling the same data again, so
+// no density-filter cell is looked up in the KDE cache twice.
+TEST(ArtifactsTest, ConfairProfilesOnceAndAttachesTheWeightsProfile) {
+  Dataset data = MakeData(800, 53);
+  TrainValTest split = Split(data, 59);
+  TrainSpec spec = ServingSpec(Method::kConfair);
+  GlobalKdeCache().Clear();
+  const uint64_t hits_before = GlobalKdeCache().stats().hits;
+  Result<FittedArtifacts> artifacts = Fit(split, spec);
+  ASSERT_TRUE(artifacts.ok()) << artifacts.status().ToString();
+  EXPECT_EQ(GlobalKdeCache().stats().hits, hits_before);
+  ASSERT_TRUE(artifacts.value().has_profile);
+
+  Result<GroupLabelProfile> reference =
+      GroupLabelProfile::Profile(split.train, spec.confair.profile);
+  ASSERT_TRUE(reference.ok());
+  const GroupLabelProfile& attached = artifacts.value().profile;
+  ASSERT_EQ(attached.num_groups(), reference.value().num_groups());
+  ASSERT_EQ(attached.num_classes(), reference.value().num_classes());
+  Matrix numeric = split.train.NumericMatrix();
+  for (int g = 0; g < attached.num_groups(); ++g) {
+    for (int y = 0; y < attached.num_classes(); ++y) {
+      const std::optional<ConstraintSet>& got = attached.cell(g, y);
+      const std::optional<ConstraintSet>& want = reference.value().cell(g, y);
+      ASSERT_EQ(got.has_value(), want.has_value()) << g << "," << y;
+      if (!got.has_value()) continue;
+      for (size_t i = 0; i < numeric.rows(); ++i) {
+        EXPECT_EQ(Bits(got->Violation(numeric.RowPtr(i))),
+                  Bits(want->Violation(numeric.RowPtr(i))))
+            << "cell (" << g << "," << y << ") row " << i;
+      }
+    }
+  }
+
+  spec.include_profile = false;
+  Result<FittedArtifacts> bare = Fit(split, spec);
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  EXPECT_FALSE(bare.value().has_profile);
+}
+
+// A NaN outlier quantile has no rank among the training rows; Fit rejects
+// it up front. Out-of-range quantiles still clamp to [0, 1].
+TEST(ArtifactsTest, FitRejectsNanDensityQuantile) {
+  Dataset data = MakeData(300, 61);
+  TrainValTest split = Split(data, 67);
+  TrainSpec spec = ServingSpec(Method::kNoIntervention);
+  spec.density_outlier_quantile = std::numeric_limits<double>::quiet_NaN();
+  Result<FittedArtifacts> rejected = Fit(split, spec);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  spec.density_outlier_quantile = 1.5;
+  Result<FittedArtifacts> clamped = Fit(split, spec);
+  ASSERT_TRUE(clamped.ok()) << clamped.status().ToString();
+  std::vector<double> loo = clamped.value().density->LeaveOneOutLogDensityAll(
+      clamped.value().density_train);
+  EXPECT_EQ(clamped.value().density_floor,
+            *std::max_element(loo.begin(), loo.end()));
 }
 
 TEST(ArtifactsTest, MethodNamesStable) {

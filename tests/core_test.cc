@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/confair.h"
 #include "core/density_filter.h"
@@ -121,6 +123,78 @@ TEST(DensityFilterTest, FullFractionKeepsEverything) {
   Result<std::vector<size_t>> kept = DensityFilterIndices(d, opts);
   ASSERT_TRUE(kept.ok());
   EXPECT_EQ(kept->size(), d.size());
+}
+
+/// Cells of very different sizes, rows interleaved at random: one large
+/// cell, twenty small ones, one under min_cell_size and one exactly at it
+/// (both kept whole), and empty cells in between.
+Dataset ManyCellDataset() {
+  Rng rng(96);
+  std::vector<std::pair<int, int>> cells;
+  auto add = [&](int g, int y, size_t count) {
+    for (size_t i = 0; i < count; ++i) cells.push_back({g, y});
+  };
+  add(0, 0, 1500);
+  for (int g = 1; g <= 20; ++g) add(g, 1, 20 + 3 * static_cast<size_t>(g));
+  add(0, 1, 5);
+  add(21, 0, 8);
+  rng.Shuffle(&cells);
+  std::vector<double> x1, x2;
+  std::vector<int> labels, groups;
+  for (const auto& [g, y] : cells) {
+    double spread = rng.Bernoulli(0.1) ? 5.0 : 0.8;
+    x1.push_back(rng.Gaussian(0.1 * g, spread));
+    x2.push_back(rng.Gaussian(y == 1 ? 1.0 : -1.0, spread));
+    groups.push_back(g);
+    labels.push_back(y);
+  }
+  Dataset d;
+  EXPECT_TRUE(d.AddNumericColumn("x1", x1).ok());
+  EXPECT_TRUE(d.AddNumericColumn("x2", x2).ok());
+  EXPECT_TRUE(d.SetLabels(labels, 2).ok());
+  EXPECT_TRUE(d.SetGroups(groups).ok());
+  return d;
+}
+
+/// Algorithm 3 cell by cell: each cell's own DensityRanking, top k.
+std::vector<size_t> PerCellTopK(const Dataset& d,
+                                const DensityFilterOptions& opts) {
+  std::vector<size_t> kept;
+  for (int g = 0; g < d.num_groups(); ++g) {
+    for (int y = 0; y < d.num_classes(); ++y) {
+      std::vector<size_t> cell = d.CellIndices(g, y);
+      size_t k = static_cast<size_t>(
+          std::ceil(opts.keep_fraction * static_cast<double>(cell.size())));
+      k = std::max(k, std::min(opts.min_cell_size, cell.size()));
+      if (k >= cell.size()) {
+        kept.insert(kept.end(), cell.begin(), cell.end());
+        continue;
+      }
+      Result<std::vector<size_t>> order =
+          DensityRanking(d.Subset(cell).NumericMatrix(), opts.kde);
+      EXPECT_TRUE(order.ok());
+      for (size_t i = 0; i < k; ++i) kept.push_back(cell[order.value()[i]]);
+    }
+  }
+  std::sort(kept.begin(), kept.end());
+  return kept;
+}
+
+TEST(DensityFilterTest, MatchesPerCellRankingTopK) {
+  Dataset d = ManyCellDataset();
+  for (bool cached : {true, false}) {
+    DensityFilterOptions opts;
+    opts.kde.use_fit_cache = cached;
+    Result<std::vector<size_t>> kept = DensityFilterIndices(d, opts);
+    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+    EXPECT_EQ(kept.value(), PerCellTopK(d, opts)) << "cached=" << cached;
+
+    Dataset filtered = d.Subset(kept.value());
+    EXPECT_EQ(filtered.CellCount(0, 0), 300u);  // ceil(0.2 * 1500)
+    EXPECT_EQ(filtered.CellCount(0, 1), 5u);    // under min_cell_size
+    EXPECT_EQ(filtered.CellCount(21, 0), 8u);   // at min_cell_size
+    EXPECT_EQ(filtered.CellCount(20, 1), 16u);  // 80 rows: ceil(0.2 * 80)
+  }
 }
 
 // ----------------------------------------------------------- Profiling

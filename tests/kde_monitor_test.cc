@@ -8,13 +8,18 @@
 // ulp-ish off a node bound. Bounded classification is a pure *speedup*:
 // any query the interval refinement cannot prove falls back to the
 // oracle, so disagreement anywhere is a soundness bug, not a tolerance
-// issue.
+// issue. The same holds for the floor the monitor compares against:
+// LeaveOneOutLogDensityQuantile must return the bits of sorting every
+// leave-one-out value and indexing it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/deployment.h"
@@ -372,6 +377,198 @@ TEST(KdeMonitorTest, SnapshotWithFloorAtGuardFlagsIdenticallyInEveryMode) {
         << "row " << i;
   }
   EXPECT_GT(at_floor, 0u);
+}
+
+// ------------------------------- leave-one-out quantile (floor) selection
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// The reference the selection must reproduce bit for bit: every row's
+/// leave-one-out log-density, sorted, indexed at floor(q * (n - 1)).
+double SortAndIndex(const std::vector<double>& sorted, double q) {
+  const double last = static_cast<double>(sorted.size() - 1);
+  return sorted[static_cast<size_t>(q * last)];
+}
+
+/// 624 Gaussian rows in d = 4 plus 16 rows at the corners of a cube of
+/// half-width 12, interleaved at rows 13, 53, 93, ... (never a multiple of
+/// 16, so the pilot sees none of them). Each corner's leave-one-out kernel
+/// sum is exactly 0, so 2.5% of the rows sit at the guard and every floor
+/// up to the 2% quantile is the guard itself.
+Matrix IsolatedRowsPoints() {
+  Matrix m = RandomPoints(640, 4, 503);
+  int corner = 0;
+  for (size_t i = 13; i < m.rows(); i += 40, ++corner) {
+    for (size_t j = 0; j < 4; ++j) {
+      m.At(i, j) = (corner >> j) & 1 ? 12.0 : -12.0;
+    }
+  }
+  return m;
+}
+
+/// 2000 Gaussian rows in d = 2, with 12 rows moved 30 degrees apart onto
+/// a ring of radius 4.7 to 5.33. A ring row's leave-one-out sum is at most
+/// 2.5e-5 (0 for two of them), so with the pilot threshold on the ring no
+/// bound can prove a ring row below the clearance level (the slack exceeds
+/// its whole neighbour mass): it stays undecided and only its exact value
+/// can place it. The inner rows 0, 160, 320 are pilot rows; the outer ones
+/// are not, so the minimum is a row the pilot never saw.
+Matrix RingRowsPoints() {
+  Matrix m = RandomPoints(2000, 2, 511);
+  for (size_t k = 0; k < 12; ++k) {
+    const size_t row = k < 3 ? 160 * k : 160 * k + 5;
+    const double radius = k < 3 ? 4.7 + 0.05 * k : 5.0 + 0.03 * k;
+    const double angle = 0.5235987755982988 * static_cast<double>(k);
+    m.At(row, 0) = radius * std::cos(angle);
+    m.At(row, 1) = radius * std::sin(angle);
+  }
+  return m;
+}
+
+struct SelectionCase {
+  std::string name;
+  Matrix fit;
+  Matrix rows;  // the queries: the fitted points, unless the case says so
+  double atol = 1e-4;
+};
+
+std::vector<SelectionCase> SelectionCases() {
+  std::vector<SelectionCase> cases;
+  for (double atol : {1e-4, 0.0}) {
+    // Exact sums (atol 0) are quadratic; a smaller cloud keeps them quick.
+    std::string suffix = atol > 0.0 ? "" : "/atol0";
+    size_t n = atol > 0.0 ? 2000 : 1000;
+    Matrix d2 = RandomPoints(n, 2, 501);
+    cases.push_back({"gaussian_d2" + suffix, d2, d2, atol});
+    Matrix d6 = RandomPoints(n, 6, 502);
+    cases.push_back({"gaussian_d6" + suffix, d6, d6, atol});
+  }
+  // Every 16th row spread four times wider: the pilot sees only the
+  // sparse rows, its threshold undershoots the quantiles above their
+  // share, and the selection must take the rank fallback there.
+  Matrix sparse_pilot = RandomPoints(2000, 2, 510);
+  for (size_t i = 0; i < sparse_pilot.rows(); i += 16) {
+    for (size_t j = 0; j < 2; ++j) sparse_pilot.At(i, j) *= 4.0;
+  }
+  cases.push_back({"sparse_pilot_rows", sparse_pilot, sparse_pilot});
+  Matrix isolated = IsolatedRowsPoints();
+  cases.push_back({"isolated", isolated, isolated});
+  Matrix ring = RingRowsPoints();
+  cases.push_back({"ring", ring, ring});
+  Matrix dup(64, 2);
+  for (size_t i = 0; i < dup.rows(); ++i) {
+    dup.At(i, 0) = 1.0;
+    dup.At(i, 1) = 2.0;
+  }
+  cases.push_back({"duplicates", dup, dup});
+  Matrix one = RandomPoints(1, 3, 504);
+  cases.push_back({"n1", one, one});
+  Matrix two = RandomPoints(2, 3, 505);
+  cases.push_back({"n2", two, two});
+  // A NaN coordinate in the fit: the NaN row's own value is NaN, so the
+  // selection must fall back to sorting the full vector.
+  Matrix nan_fit = RandomPoints(500, 3, 506);
+  nan_fit.At(37, 1) = std::numeric_limits<double>::quiet_NaN();
+  cases.push_back({"nan_in_fit", nan_fit, nan_fit});
+  // A clean fit queried with NaN rows among its points.
+  Matrix clean = RandomPoints(500, 3, 507);
+  Matrix nan_rows = clean;
+  for (size_t i : {1, 37, 38, 255, 498}) {
+    nan_rows.At(i, 1) = std::numeric_limits<double>::quiet_NaN();
+  }
+  cases.push_back({"nan_query_rows", clean, nan_rows});
+  return cases;
+}
+
+TEST(KdeMonitorTest, LooQuantileIsSortAndIndexBitwise) {
+  const double kQs[] = {0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0};
+  ThreadPool inline_pool(0);
+  ThreadPool two_workers(2);
+  for (const SelectionCase& c : SelectionCases()) {
+    for (KdeTreeBackend backend :
+         {KdeTreeBackend::kKdTree, KdeTreeBackend::kBallTree}) {
+      KdeOptions options;
+      options.tree_backend = backend;
+      options.approximation_atol = c.atol;
+      Result<KernelDensity> kde = KernelDensity::Fit(c.fit, options);
+      ASSERT_TRUE(kde.ok()) << c.name;
+      std::vector<double> sorted = kde.value().LeaveOneOutLogDensityAll(c.rows);
+      std::sort(sorted.begin(), sorted.end());
+      for (double q : kQs) {
+        const double expected = SortAndIndex(sorted, q);
+        for (ThreadPool* pool : {&inline_pool, &two_workers}) {
+          Result<double> got =
+              kde.value().LeaveOneOutLogDensityQuantile(c.rows, q, pool);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(Bits(got.value()), Bits(expected))
+              << c.name << " backend=" << static_cast<int>(backend)
+              << " q=" << q << " workers=" << pool->num_threads()
+              << " got=" << got.value() << " expected=" << expected;
+        }
+      }
+    }
+  }
+}
+
+TEST(KdeMonitorTest, LooQuantileFloorSitsAtTheGuardWithIsolatedRows) {
+  // The case the clearance floor exists for: the pilot threshold is above
+  // the guard, the answer is the guard, and every isolated row has a
+  // leave-one-out sum of exactly 0 — none of them may be cleared.
+  Matrix rows = IsolatedRowsPoints();
+  Result<KernelDensity> kde = KernelDensity::Fit(rows);
+  ASSERT_TRUE(kde.ok());
+  for (double q : {0.0, 0.01, 0.02}) {
+    Result<double> floor = kde.value().LeaveOneOutLogDensityQuantile(rows, q);
+    ASSERT_TRUE(floor.ok());
+    EXPECT_EQ(floor.value(), kde.value().LogDensityGuard()) << "q=" << q;
+  }
+}
+
+TEST(KdeMonitorTest, LooClearanceSumKeepsALogTwoMargin) {
+  // A row whose kernel sum is exactly the clearance level reports a
+  // leave-one-out log-density log 2 above the threshold (or, where the
+  // 1e-9 floor binds, above it anyway), with room for every rounding.
+  for (double log_norm : {-30.0, -8.5, 0.0, 4.25}) {
+    for (double above_norm :
+         {-745.0, -300.0, -25.0, -21.0, -15.0, -5.0, 0.0, 3.0, 6.0}) {
+      const double threshold = log_norm + above_norm;
+      const double sum = kde_internal::LooClearanceSum(threshold, log_norm);
+      const double loo = std::log(sum - 1.0) + log_norm;
+      if (2.0 * std::exp(above_norm) >= 1e-9) {
+        EXPECT_GT(loo - threshold, std::log(2.0) - 1e-6)
+            << "log_norm=" << log_norm << " threshold=" << threshold;
+      } else {
+        EXPECT_GT(loo, threshold + 1.0)
+            << "log_norm=" << log_norm << " threshold=" << threshold;
+      }
+    }
+  }
+}
+
+TEST(KdeMonitorTest, LooQuantileRejectsBadInput) {
+  Matrix rows = RandomPoints(50, 2, 508);
+  Result<KernelDensity> kde = KernelDensity::Fit(rows);
+  ASSERT_TRUE(kde.ok());
+  for (double q : {std::numeric_limits<double>::quiet_NaN(), -0.01, 1.01,
+                   std::numeric_limits<double>::infinity()}) {
+    Result<double> got = kde.value().LeaveOneOutLogDensityQuantile(rows, q);
+    ASSERT_FALSE(got.ok()) << "q=" << q;
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(kde.value()
+                .LeaveOneOutLogDensityQuantile(Matrix(0, 2), 0.01)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(kde.value()
+                .LeaveOneOutLogDensityQuantile(RandomPoints(5, 3, 509), 0.01)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
