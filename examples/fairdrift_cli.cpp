@@ -1142,7 +1142,7 @@ net::Frame RouterHandleFrame(const net::Frame& frame, net::RemoteFleet* fleet,
       if (!request.ok()) return RouterErrorFrame(request.status());
       Result<std::vector<net::WireRowOutcome>> outcomes = fleet->ScoreBatch(
           request.value().rows, request.value().width,
-          std::chrono::nanoseconds(request.value().deadline_ns));
+          request.value().deadline());
       if (!outcomes.ok()) return RouterErrorFrame(outcomes.status());
       BinaryWriter w;
       net::SerializeRowOutcomes(outcomes.value(), &w);

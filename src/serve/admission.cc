@@ -9,7 +9,7 @@ Status AdmissionController::Admit(
     const RequestQueue& queue, std::chrono::steady_clock::time_point now,
     std::chrono::steady_clock::time_point deadline,
     double ewma_batch_latency_ns, size_t max_batch_size,
-    size_t concurrent_batches) const {
+    size_t concurrent_batches, size_t rows) const {
   if (deadline <= now) {
     return Status::DeadlineExceeded("admission: deadline already passed");
   }
@@ -17,12 +17,13 @@ Status AdmissionController::Admit(
   if (state.closed) {
     return Status::Unavailable("admission: server stopped");
   }
-  if (state.size >= options_.max_queue_depth) {
+  if (rows > options_.max_queue_depth ||
+      state.size > options_.max_queue_depth - rows) {
     return Status::Unavailable("admission: queue depth limit reached");
   }
   if (options_.cost_aware && ewma_batch_latency_ns > 0.0 &&
       deadline != std::chrono::steady_clock::time_point::max()) {
-    // The request waits behind floor(size / max_batch_size) *full*
+    // The unit waits behind floor(rows queued / max_batch_size) *full*
     // batches, up to concurrent_batches of which score at once — each
     // wave costs about one EWMA batch latency. Deadlines are enforced
     // only until the request's own batch starts scoring (the worker's
@@ -49,12 +50,21 @@ Status AdmissionController::Admit(
 std::chrono::steady_clock::time_point AdmissionController::ResolveDeadline(
     std::chrono::steady_clock::time_point now,
     std::chrono::nanoseconds deadline_after) const {
+  using Clock = std::chrono::steady_clock;
+  // Each deadline is compared against the room left on the clock before
+  // it is added: past the clock's range the sum would overflow, and such
+  // a deadline means none.
+  const Clock::duration room = Clock::time_point::max() - now;
   if (deadline_after.count() <= 0) {
-    if (options_.default_deadline.count() <= 0) {
-      return std::chrono::steady_clock::time_point::max();
+    const std::chrono::microseconds fallback = options_.default_deadline;
+    if (fallback.count() <= 0 ||
+        fallback >= std::chrono::duration_cast<std::chrono::microseconds>(
+                        room)) {
+      return Clock::time_point::max();
     }
-    return now + options_.default_deadline;
+    return now + fallback;
   }
+  if (deadline_after >= room) return Clock::time_point::max();
   return now + deadline_after;
 }
 

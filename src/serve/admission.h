@@ -8,6 +8,9 @@
 // work). Requests that pass admission can still be shed later by the
 // batch worker if their deadline expires while queued.
 //
+// The unit of admission is a run of 1..N rows (one Submit): it is
+// admitted or refused whole, and every bound counts rows.
+//
 // Cost-aware shedding: beyond the raw depth bound, Admit predicts the
 // request's queueing delay — the batches already ahead of it times the
 // EWMA batch scoring latency from ServerStats — and refuses deadlined
@@ -27,8 +30,9 @@ namespace fairdrift {
 
 /// Admission policy knobs.
 struct AdmissionOptions {
-  /// Hard bound on queued requests (the RequestQueue capacity). Submits
-  /// beyond it shed with Status::Unavailable.
+  /// Hard bound on queued rows (the RequestQueue capacity). A unit whose
+  /// rows would take the queue past it sheds whole with
+  /// Status::Unavailable.
   size_t max_queue_depth = 4096;
   /// Deadline attached to requests submitted without one. Zero = none.
   std::chrono::microseconds default_deadline{0};
@@ -45,29 +49,33 @@ class AdmissionController {
   explicit AdmissionController(const AdmissionOptions& options)
       : options_(options) {}
 
-  /// Decides whether a request with `deadline` (time_point::max() = none)
-  /// may enter `queue` as of `now`. OK means "attempt the push" — a racing
-  /// fill can still refuse, which the server reports as the same typed
-  /// Unavailable. `ewma_batch_latency_ns` (ServerStats::EwmaBatchLatencyNs;
-  /// 0 = no signal yet), `max_batch_size`, and `concurrent_batches` (the
-  /// server's in-flight batch limit) feed the cost-aware prediction:
-  /// with Q requests queued, the request waits behind
-  /// floor(Q/max_batch_size) full batches draining `concurrent_batches`
-  /// at a time, each wave costing ~the EWMA. Neither the request's own
-  /// batch nor the partial batch it would coalesce into is counted —
-  /// deadlines stop applying once its batch starts scoring — so idle and
-  /// lightly loaded servers never cost-shed. If the predicted wait
-  /// overruns the deadline, the request is shed now with
-  /// Status::DeadlineExceeded instead of expiring in the queue.
+  /// Decides whether a unit of `rows` rows with `deadline`
+  /// (time_point::max() = none) may enter `queue` as of `now`. OK means
+  /// "attempt the push" — a racing fill can still refuse, which the
+  /// server reports as the same typed Unavailable. The depth bound
+  /// refuses a unit whose rows would take the queued row count past
+  /// max_queue_depth. `ewma_batch_latency_ns`
+  /// (ServerStats::EwmaBatchLatencyNs; 0 = no signal yet),
+  /// `max_batch_size`, and `concurrent_batches` (the server's in-flight
+  /// batch limit) feed the cost-aware prediction: with Q rows queued,
+  /// the unit waits behind floor(Q/max_batch_size) full batches draining
+  /// `concurrent_batches` at a time, each wave costing ~the EWMA.
+  /// Neither the unit's own batch nor the partial batch it would
+  /// coalesce into is counted — deadlines stop applying once its batch
+  /// starts scoring — so idle and lightly loaded servers never
+  /// cost-shed. If the predicted wait overruns the deadline, the unit is
+  /// shed now with Status::DeadlineExceeded instead of expiring in the
+  /// queue.
   Status Admit(const RequestQueue& queue,
                std::chrono::steady_clock::time_point now,
                std::chrono::steady_clock::time_point deadline,
                double ewma_batch_latency_ns = 0.0,
                size_t max_batch_size = 1,
-               size_t concurrent_batches = 1) const;
+               size_t concurrent_batches = 1, size_t rows = 1) const;
 
   /// Resolves a caller-relative deadline against the default policy:
-  /// zero → default_deadline (or none when that is zero too).
+  /// zero → default_deadline (or none when that is zero too). A deadline
+  /// beyond the clock's range saturates to time_point::max(), i.e. none.
   std::chrono::steady_clock::time_point ResolveDeadline(
       std::chrono::steady_clock::time_point now,
       std::chrono::nanoseconds deadline_after) const;

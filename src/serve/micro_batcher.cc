@@ -14,8 +14,8 @@ MicroBatcher::MicroBatcher(RequestQueue* queue, const BatchingOptions& options)
 
 size_t MicroBatcher::NextBatch(std::vector<PendingRequest>* out) {
   out->clear();
-  // A batch of one never waits: the coalescing window only matters when
-  // there is room to coalesce into.
+  // A batch of one row never waits: the coalescing window only matters
+  // when there is room to coalesce into.
   auto window = options_.max_batch_size == 1
                     ? std::chrono::nanoseconds{0}
                     : std::chrono::nanoseconds(options_.max_batch_delay);

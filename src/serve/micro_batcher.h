@@ -1,12 +1,17 @@
-// MicroBatcher: coalesces single-row score requests into batches.
+// MicroBatcher: coalesces queued admission units into batches.
 //
-// Per-request costs on the serving path (queue round-trips, condvar
+// Per-batch costs on the serving path (queue round-trips, condvar
 // wake-ups, task dispatch, per-call kernel overhead) dwarf the per-row
 // cost of the batched kernels the library already has. The batcher
-// amortizes them: the dispatch loop pops up to `max_batch_size` requests
-// at once, waiting at most `max_batch_delay` after the first request for
-// stragglers, and hands the whole batch to one ModelSnapshot::ScoreBatch
-// call — so per-request cost approaches the batched hot-path numbers.
+// amortizes them: the dispatch loop pops whole units up to
+// `max_batch_size` rows at once and hands them to one
+// ModelSnapshot::ScoreBatch call. Only a unit of one waits: after a
+// single-row first unit the dispatcher waits at most `max_batch_delay`
+// for stragglers, while a multi-row unit (a wire frame) is dispatched at
+// once — it already spreads the hand-off over its own rows, and its
+// rows all arrived together, so waiting would only idle out the window.
+// A unit longer than `max_batch_size` reaches the queue as pieces of at
+// most that many rows, so no batch exceeds the cap.
 //
 // Batch *composition* is timing-dependent by design; per-row results are
 // not (the snapshot's determinism contract), so coalescing never changes
@@ -24,12 +29,13 @@ namespace fairdrift {
 
 /// Coalescing policy.
 struct BatchingOptions {
-  /// Largest batch one ScoreBatch call receives. 1 disables coalescing
-  /// (every request pays the full per-request overhead — the bench's
-  /// baseline configuration).
+  /// Most rows one ScoreBatch call receives. 1 disables coalescing
+  /// (every row pays the full per-batch overhead — the bench's baseline
+  /// configuration).
   size_t max_batch_size = 64;
-  /// How long the dispatcher waits after a batch's first request for more
-  /// arrivals. Bounds the latency cost of batching under light load.
+  /// How long the dispatcher waits after a batch's first unit, when that
+  /// unit is a single row, for more arrivals. Bounds the latency cost of
+  /// batching under light load.
   std::chrono::microseconds max_batch_delay{200};
 };
 
@@ -38,8 +44,9 @@ class MicroBatcher {
  public:
   MicroBatcher(RequestQueue* queue, const BatchingOptions& options);
 
-  /// Blocks for the next batch (clearing and filling `out`); returns its
-  /// size, or 0 when the queue is closed and fully drained.
+  /// Blocks for the next batch (clearing and filling `out` with whole
+  /// pieces); returns its rows, or 0 when the queue is closed and fully
+  /// drained.
   size_t NextBatch(std::vector<PendingRequest>* out);
 
   const BatchingOptions& options() const { return options_; }

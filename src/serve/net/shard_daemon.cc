@@ -224,9 +224,8 @@ Frame ShardDaemon::HandleScoreBatch(const Frame& frame) {
   BinaryReader r(frame.payload);
   Result<WireScoreRequest> request = DeserializeScoreRequest(&r);
   if (!request.ok()) return ErrorFrame(request.status());
-  const WireScoreRequest& req = request.value();
+  WireScoreRequest& req = request.value();
   const size_t count = req.count();
-  const std::chrono::nanoseconds deadline{req.deadline_ns};
 
   // Every sampled row in this frame parents under the sender's span id
   // from the frame's trace extension (per-row trace ids re-mint from
@@ -235,26 +234,27 @@ Frame ShardDaemon::HandleScoreBatch(const Frame& frame) {
   trace.parent_span_id = frame.has_trace ? frame.trace.parent_span_id : 0;
   trace.wire_recv_ns = wire_recv_ns;
 
-  // Submit every row first so the whole batch coalesces, then wait.
-  // Shed/invalid rows carry their typed code per row instead of failing
-  // the frame: one overloaded row must not poison its batch-mates.
-  std::vector<ScoreTicket> tickets(count);
+  // The frame is one admission unit: admitted or shed whole, scored in
+  // one batch when it fits max_batch_size, and waited on once. Shed and
+  // invalid rows still carry their typed code per row: one bad row must
+  // not poison its batch-mates.
   std::vector<WireRowOutcome> outcomes(count);
-  for (size_t i = 0; i < count; ++i) {
-    std::vector<double> row(req.rows.begin() + i * req.width,
-                            req.rows.begin() + (i + 1) * req.width);
-    Result<ScoreTicket> ticket =
-        server_->Submit(std::move(row), RequestAuditInfo{}, trace, deadline);
-    if (ticket.ok()) {
-      tickets[i] = std::move(ticket).value();
+  ScoreTicket ticket;
+  if (count != 0) {
+    Result<ScoreTicket> submitted = server_->Submit(
+        std::move(req.rows), req.width, RequestAuditInfo{}, trace,
+        req.deadline());
+    if (submitted.ok()) {
+      ticket = std::move(submitted).value();
     } else {
-      outcomes[i].code = ticket.status().code();
-      outcomes[i].message = ticket.status().message();
+      for (WireRowOutcome& outcome : outcomes) {
+        outcome.code = submitted.status().code();
+        outcome.message = submitted.status().message();
+      }
     }
   }
-  for (size_t i = 0; i < count; ++i) {
-    if (!tickets[i].valid()) continue;
-    Result<ScoreResult> result = tickets[i].Wait();
+  for (size_t i = 0; i < ticket.size(); ++i) {
+    Result<ScoreResult> result = ticket.Wait(i);
     if (result.ok()) {
       outcomes[i].result = result.value();
     } else {
@@ -268,14 +268,13 @@ Frame ShardDaemon::HandleScoreBatch(const Frame& frame) {
   if (trace_log_ != nullptr) {
     // Emission is deferred to here so wire_send (reply serialized,
     // about to hit the socket) closes each sampled row's span. Wait()
-    // above ordered these slot reads after the scoring thread's writes.
+    // above ordered these slot reads after the scoring threads' writes.
     const uint64_t wire_send_ns = MonotonicNowNs();
-    for (ScoreTicket& ticket : tickets) {
-      if (!ticket.valid()) continue;
-      TraceSpanSlot* slot = ticket.trace_slot();
-      if (slot == nullptr || !slot->sampled()) continue;
+    for (size_t i = 0; i < ticket.size(); ++i) {
+      TraceSpanSlot* slot = ticket.trace_slot(i);
+      if (!slot->sampled()) continue;
       slot->StampAt(TraceStage::kWireSend, wire_send_ns);
-      server_->EmitTrace(ticket);
+      server_->EmitTrace(ticket, i);
     }
   }
   return reply;

@@ -10,6 +10,9 @@ namespace {
 constexpr uint64_t kMaxRowsPerBatch = 1u << 20;
 constexpr uint64_t kMaxRowWidth = 1u << 16;
 constexpr uint64_t kMaxHistBuckets = 1u << 16;
+// Smallest encoded WireRowOutcome: code u8, an empty message (its u64
+// length), then the ScoreResult's 54 bytes.
+constexpr uint64_t kMinOutcomeBytes = 1 + 8 + 54;
 
 }  // namespace
 
@@ -66,6 +69,12 @@ Result<std::vector<WireRowOutcome>> DeserializeRowOutcomes(BinaryReader* r) {
   if (!count.ok()) return count.status();
   if (count.value() > kMaxRowsPerBatch) {
     return Status::DataLoss("score reply claims an implausible row count");
+  }
+  // Divide instead of multiplying, as ReadDoubleVector does: a count
+  // the remaining bytes cannot hold fails before it allocates.
+  if (count.value() > r->remaining() / kMinOutcomeBytes) {
+    return Status::DataLoss(
+        "score reply truncated: its row count exceeds the payload");
   }
   std::vector<WireRowOutcome> outcomes;
   outcomes.reserve(count.value());

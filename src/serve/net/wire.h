@@ -12,6 +12,7 @@
 #ifndef FAIRDRIFT_SERVE_NET_WIRE_H_
 #define FAIRDRIFT_SERVE_NET_WIRE_H_
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,15 @@ struct WireScoreRequest {
   uint64_t deadline_ns = 0;
 
   size_t count() const { return width == 0 ? 0 : rows.size() / width; }
+  /// deadline_ns as a duration; a value past nanoseconds::max()
+  /// saturates to it, which admission reads as no deadline.
+  std::chrono::nanoseconds deadline() const {
+    return deadline_ns > static_cast<uint64_t>(
+                             std::chrono::nanoseconds::max().count())
+               ? std::chrono::nanoseconds::max()
+               : std::chrono::nanoseconds(
+                     static_cast<int64_t>(deadline_ns));
+  }
 };
 
 void SerializeScoreRequest(const WireScoreRequest& request, BinaryWriter* w);

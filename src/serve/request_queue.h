@@ -1,10 +1,12 @@
-// Bounded MPMC queue of pending score requests.
+// Bounded MPMC queue of pending admission units.
 //
 // Producers are client threads calling ScoringServer::Submit; consumers are
 // the server's dispatch loop(s) popping coalesced batches through
-// MicroBatcher. The bound is the admission controller's hard queue-depth
-// limit: TryPush never blocks — a full queue is an overload signal handled
-// by shedding, not by back-pressuring the client thread.
+// MicroBatcher. An item is a piece of a unit (a run of 1..N contiguous
+// rows sharing one ticket); the queue counts rows, not items, so the
+// bound is the admission controller's hard queue-depth limit in rows.
+// TryPush never blocks — a full queue is an overload signal handled by
+// shedding, not by back-pressuring the client thread.
 
 #ifndef FAIRDRIFT_SERVE_REQUEST_QUEUE_H_
 #define FAIRDRIFT_SERVE_REQUEST_QUEUE_H_
@@ -21,25 +23,17 @@
 
 namespace fairdrift {
 
-/// Optional per-request audit metadata (serve/audit/). A non-negative
-/// `group` overrides the group the snapshot extracts from the row's own
-/// group field; `label` is the ground-truth outcome when the caller
-/// already knows it (delayed-feedback pipelines attach it at submit time
-/// so equalized-odds windows are live), -1 = unlabeled.
-struct RequestAuditInfo {
-  int group = -1;
-  int label = -1;
-};
-
-/// One enqueued request: the raw row, its timing, and its response ticket.
+/// One queued piece of an admission unit: rows [begin, begin + count) of
+/// its ticket's unit. A unit that fits a batch is one piece; a longer
+/// one is split into pieces that share its ticket, and so its one
+/// completion.
 struct PendingRequest {
-  std::vector<double> row;
+  std::shared_ptr<serve_internal::TicketState> ticket;
+  size_t begin = 0;
+  size_t count = 1;
   std::chrono::steady_clock::time_point enqueue_time;
   /// Absolute shed deadline; time_point::max() = none.
   std::chrono::steady_clock::time_point deadline;
-  std::shared_ptr<serve_internal::TicketState> ticket;
-  /// Audit metadata folded into the fairness windows after scoring.
-  RequestAuditInfo audit;
 };
 
 /// Thread-safe bounded FIFO with batch pop and close semantics.
@@ -47,16 +41,24 @@ class RequestQueue {
  public:
   explicit RequestQueue(size_t capacity) : capacity_(capacity) {}
 
-  /// Enqueues unless the queue is full or closed. Returns false in both
-  /// refusal cases (callers distinguish via closed()).
-  bool TryPush(PendingRequest&& request);
+  /// Enqueues a whole unit — split into pieces of at most
+  /// `max_piece_rows` rows sharing its ticket — unless the queue is
+  /// closed or the unit's rows would take the row count past capacity.
+  /// All or nothing; returns false in both refusal cases (callers
+  /// distinguish via closed()).
+  bool TryPush(PendingRequest&& unit,
+               size_t max_piece_rows = static_cast<size_t>(-1));
 
-  /// Pops up to `max_items`. Blocks until at least one request is
+  /// Pops whole pieces in FIFO order, up to `max_rows` rows in total
+  /// (the first piece is taken whatever its size). Blocks until one is
   /// available (or the queue is closed and drained — then returns 0).
-  /// After securing the first request, keeps absorbing arrivals until
-  /// `max_items` are gathered or `max_wait` has elapsed since the first
-  /// pop — the micro-batching coalescing window.
-  size_t PopBatch(size_t max_items, std::chrono::nanoseconds max_wait,
+  /// When the first piece is a unit of one, keeps absorbing arrivals
+  /// until `max_rows` rows are gathered, the next piece does not fit, or
+  /// `max_wait` has elapsed since the first pop — the micro-batching
+  /// coalescing window. A multi-row piece already spreads the per-batch
+  /// hand-off over its own rows, so it never waits. Returns the rows
+  /// popped.
+  size_t PopBatch(size_t max_rows, std::chrono::nanoseconds max_wait,
                   std::vector<PendingRequest>* out);
 
   /// Marks the queue closed: further TryPush calls refuse, blocked
@@ -68,19 +70,21 @@ class RequestQueue {
   /// Submit, and the pair is a racy pre-check either way — TryPush
   /// re-checks both authoritatively).
   struct State {
-    size_t size = 0;
+    size_t size = 0;  // rows
     bool closed = false;
   };
   State Observe() const;
 
   bool closed() const;
+  /// Queued rows.
   size_t size() const;
+  /// The row bound.
   size_t capacity() const { return capacity_; }
 
-  /// Requests PopBatch has handed out that the consumer has not yet
+  /// Rows PopBatch has handed out that the consumer has not yet
   /// acknowledged via AckCheckedOut. The increment happens under the
-  /// same mutex hold that removes the item, so at every instant an
-  /// admitted request is visible in size() or in checked_out() — the
+  /// same mutex hold that removes the piece, so at every instant an
+  /// admitted row is visible in size() or in checked_out() — the
   /// conservation invariant the fleet's drain barrier
   /// (ScoringServer::Quiesce) relies on to certify that nothing is
   /// hidden inside the micro-batcher's coalescing window or the
@@ -89,8 +93,8 @@ class RequestQueue {
     return checked_out_.load(std::memory_order_acquire);
   }
 
-  /// Consumer acknowledgment: `n` popped requests have been fully
-  /// processed (tickets fulfilled). Called by the batch workers after
+  /// Consumer acknowledgment: `n` popped rows have been fully
+  /// processed (their rows resolved). Called by the batch workers after
   /// scoring.
   void AckCheckedOut(size_t n) {
     checked_out_.fetch_sub(n, std::memory_order_acq_rel);
@@ -101,6 +105,7 @@ class RequestQueue {
   mutable std::mutex mu_;
   std::condition_variable ready_;
   std::deque<PendingRequest> items_;
+  size_t rows_ = 0;  // rows queued in items_
   std::atomic<size_t> checked_out_{0};
   bool closed_ = false;
 };

@@ -54,80 +54,97 @@ void ScoringServer::Stop() {
 
 Result<ScoreTicket> ScoringServer::Submit(
     std::vector<double> row, std::chrono::nanoseconds deadline_after) {
-  return Submit(std::move(row), RequestAuditInfo{}, SubmitTraceInfo{},
-                deadline_after);
+  return Submit(std::move(row), RequestAuditInfo{}, deadline_after);
 }
 
 Result<ScoreTicket> ScoringServer::Submit(
     std::vector<double> row, const RequestAuditInfo& audit,
     std::chrono::nanoseconds deadline_after) {
-  return Submit(std::move(row), audit, SubmitTraceInfo{}, deadline_after);
+  const size_t width = row.size();
+  return Submit(std::move(row), width, audit, SubmitTraceInfo{},
+                deadline_after);
 }
 
 Result<ScoreTicket> ScoringServer::Submit(
-    std::vector<double> row, const RequestAuditInfo& audit,
+    std::vector<double> rows, size_t width, const RequestAuditInfo& audit,
     const SubmitTraceInfo& trace, std::chrono::nanoseconds deadline_after) {
+  const size_t count = width == 0 ? 0 : rows.size() / width;
+  if (count == 0 || rows.size() != count * width) {
+    stats_.RecordInvalidRequest();
+    return Status::InvalidArgument(
+        StrFormat("Submit: %zu values are not a whole number of %zu-field "
+                  "rows",
+                  rows.size(), width));
+  }
   auto now = std::chrono::steady_clock::now();
   auto deadline = admission_.ResolveDeadline(now, deadline_after);
   Status admit = admission_.Admit(queue_, now, deadline,
                                   stats_.EwmaBatchLatencyNs(),
                                   options_.batching.max_batch_size,
-                                  max_inflight_);
+                                  max_inflight_, count);
   if (!admit.ok()) {
     if (admit.code() == StatusCode::kDeadlineExceeded) {
-      stats_.RecordDeadlineShed();
+      stats_.RecordDeadlineShed(count);
     } else {
-      stats_.RecordAdmissionShed();
+      stats_.RecordAdmissionShed(count);
     }
     return admit;
   }
   // Width check against the current snapshot: cheap, catches client bugs
   // synchronously. Content (category codes) is validated per row by the
   // batch worker against the snapshot that actually scores it.
-  size_t width = CurrentSnapshot()->num_features();
-  if (row.size() != width) {
-    stats_.RecordInvalidRequest();
+  size_t expected = CurrentSnapshot()->num_features();
+  if (width != expected) {
+    stats_.RecordInvalidRequest(count);
     return Status::InvalidArgument(
         StrFormat("Submit: row has %zu fields, snapshot schema has %zu",
-                  row.size(), width));
+                  width, expected));
   }
 
   auto state = std::make_shared<serve_internal::TicketState>();
+  state->count = count;
+  state->width = width;
+  state->unresolved = count;
+  state->audit = audit;
+  if (count > 1) state->rest.resize(count - 1);
+  uint64_t sampled = 0;
   if (options_.trace.enabled) {
     // Mint at admission: the id is the row's content hash, so the
     // sampled set is identical under every batching / sharding /
     // threading configuration. Unsampled rows keep the zero context and
     // never touch the slot again.
-    state->trace.context = MintTraceContext(row.data(), row.size(),
-                                            options_.trace.sample_modulus);
-    if (state->trace.sampled()) {
-      state->trace.context.parent_span_id = trace.parent_span_id;
+    const uint64_t admit_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            now.time_since_epoch())
+            .count());
+    for (size_t i = 0; i < count; ++i) {
+      TraceSpanSlot& slot = state->row(i).trace;
+      slot.context = MintTraceContext(rows.data() + i * width, width,
+                                      options_.trace.sample_modulus);
+      if (!slot.sampled()) continue;
+      ++sampled;
+      slot.context.parent_span_id = trace.parent_span_id;
       if (trace.wire_recv_ns != 0) {
-        state->trace.StampAt(TraceStage::kWireRecv, trace.wire_recv_ns);
+        slot.StampAt(TraceStage::kWireRecv, trace.wire_recv_ns);
       }
-      state->trace.StampAt(
-          TraceStage::kAdmit,
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  now.time_since_epoch())
-                  .count()));
-      state->trace.Stamp(TraceStage::kEnqueue);
+      slot.StampAt(TraceStage::kAdmit, admit_ns);
+      slot.Stamp(TraceStage::kEnqueue);
     }
   }
-  PendingRequest request;
-  request.row = std::move(row);
-  request.enqueue_time = now;
-  request.deadline = deadline;
-  request.ticket = state;
-  request.audit = audit;
-  if (!queue_.TryPush(std::move(request))) {
-    stats_.RecordAdmissionShed();
+  state->rows = std::move(rows);
+  PendingRequest unit;
+  unit.ticket = state;
+  unit.count = count;
+  unit.enqueue_time = now;
+  unit.deadline = deadline;
+  if (!queue_.TryPush(std::move(unit), batcher_.options().max_batch_size)) {
+    stats_.RecordAdmissionShed(count);
     return queue_.closed()
                ? Status::Unavailable("Submit: server stopped")
                : Status::Unavailable("Submit: queue depth limit reached");
   }
-  stats_.RecordSubmitted();
-  if (state->trace.sampled()) stats_.RecordTraceSampled();
+  stats_.RecordSubmitted(count);
+  if (sampled != 0) stats_.RecordTraceSampled(sampled);
   return ScoreTicket(std::move(state));
 }
 
@@ -148,10 +165,10 @@ Status ScoringServer::Quiesce(std::chrono::nanoseconds timeout,
   std::unique_lock<std::mutex> lock(inflight_mu_);
   for (;;) {
     // Conservation invariant (RequestQueue::checked_out): every admitted
-    // request is visible in the queue's size or in its checked-out count
-    // until its batch worker acknowledges it AFTER fulfilling tickets.
-    // So queue empty + nothing checked out certifies no request is
-    // hidden in the micro-batcher's coalescing window or the
+    // row is visible in the queue's size or in its checked-out count
+    // until its batch worker acknowledges it AFTER resolving its row.
+    // So queue empty + nothing checked out certifies no row is hidden
+    // in the micro-batcher's coalescing window or the
     // dispatcher-to-worker hand-off — no wall-clock margin needed. The
     // inflight check is subsumed but kept as a cheap belt-and-braces.
     bool drained = queue_.checked_out() == 0 && inflight_ == 0 &&
@@ -228,14 +245,16 @@ void ScoringServer::ReleaseInflightSlot() {
 void ScoringServer::DispatchLoop() {
   for (;;) {
     auto batch = std::make_shared<std::vector<PendingRequest>>();
-    if (batcher_.NextBatch(batch.get()) == 0) return;  // closed and drained
+    const size_t rows = batcher_.NextBatch(batch.get());
+    if (rows == 0) return;  // closed and drained
     if (options_.trace.enabled) {
       // One clock read covers the batch: every member left the queue in
       // the same NextBatch call.
       uint64_t now_ns = MonotonicNowNs();
-      for (PendingRequest& request : *batch) {
-        if (request.ticket->trace.sampled()) {
-          request.ticket->trace.StampAt(TraceStage::kDequeue, now_ns);
+      for (PendingRequest& piece : *batch) {
+        for (size_t i = piece.begin; i < piece.begin + piece.count; ++i) {
+          TraceSpanSlot& slot = piece.ticket->row(i).trace;
+          if (slot.sampled()) slot.StampAt(TraceStage::kDequeue, now_ns);
         }
       }
     }
@@ -243,139 +262,189 @@ void ScoringServer::DispatchLoop() {
     // the dispatcher is the only back-pressure between the queue and the
     // pool.
     AcquireInflightSlot();
-    pool_->Submit([this, batch] {
+    pool_->Submit([this, batch, rows] {
       ProcessBatch(batch.get());
-      // Tickets are fulfilled; release the queue's checked-out claim
-      // before the inflight slot so a drain barrier that wakes on the
-      // slot sees the full acknowledgment.
-      queue_.AckCheckedOut(batch->size());
+      // Rows are resolved; release the queue's checked-out claim before
+      // the inflight slot so a drain barrier that wakes on the slot sees
+      // the full acknowledgment.
+      queue_.AckCheckedOut(rows);
       ReleaseInflightSlot();
     });
   }
 }
+
+namespace {
+
+// Calls fn(piece, slot, i) for every row i of the batch whose slot holds
+// no error — the rows headed for (or through) the scorer — in batch
+// order, which is the order they are staged in.
+template <typename Fn>
+void ForEachLiveRow(std::vector<PendingRequest>* batch, Fn&& fn) {
+  for (PendingRequest& piece : *batch) {
+    for (size_t i = piece.begin; i < piece.begin + piece.count; ++i) {
+      serve_internal::RowSlot& slot = piece.ticket->row(i);
+      if (slot.error.ok()) fn(piece, slot, i);
+    }
+  }
+}
+
+}  // namespace
 
 void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch) {
   // Fault site: a kWedge rule blocks this batch worker inside Hit()
   // until the rule is cleared — the wedged-shard scenario the health
   // monitor must detect (pending work, no dispatcher progress).
   (void)FAULT_POINT_ARG("server.wedge", options_.fault_tag);
-  // One immutable snapshot per batch: requests in this batch all score
-  // the same model state even if a swap lands mid-batch.
+  // One immutable snapshot per batch: rows in this batch all score the
+  // same model state even if a swap lands mid-batch.
   std::shared_ptr<const ModelSnapshot> snapshot = CurrentSnapshot();
   size_t width = snapshot->num_features();
   auto now = std::chrono::steady_clock::now();
 
-  std::vector<size_t> live;
-  live.reserve(batch->size());
-  for (size_t i = 0; i < batch->size(); ++i) {
-    PendingRequest& request = (*batch)[i];
-    if (request.deadline <= now) {
-      stats_.RecordDeadlineShed();
-      request.ticket->Fail(
-          Status::DeadlineExceeded("shed: deadline expired in queue"));
-      continue;
-    }
-    if (request.row.size() != width) {
-      stats_.RecordInvalidRequest();
-      request.ticket->Fail(Status::InvalidArgument(
+  // Cull: a piece past its deadline or of the wrong width fails whole;
+  // otherwise each row is validated on its own, so one bad row never
+  // fails its neighbours.
+  size_t live = 0;
+  for (PendingRequest& piece : *batch) {
+    serve_internal::TicketState& unit = *piece.ticket;
+    Status piece_error;
+    if (piece.deadline <= now) {
+      stats_.RecordDeadlineShed(piece.count);
+      piece_error = Status::DeadlineExceeded("shed: deadline expired in queue");
+    } else if (unit.width != width) {
+      stats_.RecordInvalidRequest(piece.count);
+      piece_error = Status::InvalidArgument(
           StrFormat("row has %zu fields, scoring snapshot schema has %zu",
-                    request.row.size(), width)));
-      continue;
+                    unit.width, width));
     }
-    Status valid = snapshot->ValidateRow(request.row.data());
-    if (!valid.ok()) {
-      stats_.RecordInvalidRequest();
-      request.ticket->Fail(std::move(valid));
-      continue;
+    for (size_t i = piece.begin; i < piece.begin + piece.count; ++i) {
+      serve_internal::RowSlot& slot = unit.row(i);
+      if (!piece_error.ok()) {
+        slot.error = piece_error;
+        continue;
+      }
+      slot.error = snapshot->ValidateRow(unit.rows.data() + i * width);
+      if (slot.error.ok()) {
+        ++live;
+      } else {
+        stats_.RecordInvalidRequest();
+      }
     }
-    live.push_back(i);
   }
-  if (live.empty()) return;
+  const bool scored = live != 0 && ScoreLiveRows(batch, *snapshot, live, now);
+  // One completion per unit: a piece resolves all its rows at once, and
+  // the unit completes with its last piece.
+  for (PendingRequest& piece : *batch) piece.ticket->Resolve(piece.count);
+  if (scored && options_.trace.enabled && options_.trace.sink != nullptr &&
+      !options_.trace.defer_emit) {
+    // Whole-span export happens after rows resolve: a waiting client
+    // never blocks on trace-log I/O, and only sampled rows reach the
+    // sink at all.
+    ForEachLiveRow(batch, [this](PendingRequest&, serve_internal::RowSlot& slot,
+                                 size_t) {
+      if (slot.trace.sampled()) {
+        AppendTraceRecord(slot.trace, slot.result.snapshot_version);
+      }
+    });
+  }
+}
 
+bool ScoringServer::ScoreLiveRows(std::vector<PendingRequest>* batch,
+                                  const ModelSnapshot& snapshot, size_t live,
+                                  std::chrono::steady_clock::time_point start) {
+  using serve_internal::RowSlot;
+  const size_t width = snapshot.num_features();
   // Score out of a recycled per-worker scratch: the staging matrix, the
   // snapshot's encoding buffers, and the result vector all reshape in
   // place, so steady-state batches allocate nothing (ScoreBatchInto).
   std::unique_ptr<ScoreScratch> scratch = AcquireScratch();
-  scratch->rows.ReshapeForOverwrite(live.size(), width);  // rows copied below
-  for (size_t k = 0; k < live.size(); ++k) {
-    const std::vector<double>& row = (*batch)[live[k]].row;
-    std::copy(row.begin(), row.end(), scratch->rows.RowPtr(k));
-  }
+  scratch->rows.ReshapeForOverwrite(live, width);  // rows copied below
+  size_t k = 0;
+  ForEachLiveRow(batch, [&](PendingRequest& piece, RowSlot&, size_t i) {
+    const double* row = piece.ticket->rows.data() + i * width;
+    std::copy(row, row + width, scratch->rows.RowPtr(k++));
+  });
   const bool tracing = options_.trace.enabled;
   if (tracing) {
     uint64_t now_ns = MonotonicNowNs();
-    for (size_t i : live) {
-      if ((*batch)[i].ticket->trace.sampled()) {
-        (*batch)[i].ticket->trace.StampAt(TraceStage::kBatchAssemble, now_ns);
+    ForEachLiveRow(batch, [now_ns](PendingRequest&, RowSlot& slot, size_t) {
+      if (slot.trace.sampled()) {
+        slot.trace.StampAt(TraceStage::kBatchAssemble, now_ns);
       }
-    }
+    });
   }
   Status scored =
       options_.monitor_override.has_value()
-          ? snapshot->ScoreBatchInto(scratch->rows, scratch.get(),
-                                     *options_.monitor_override, pool_)
-          : snapshot->ScoreBatchInto(scratch->rows, scratch.get(), pool_);
+          ? snapshot.ScoreBatchInto(scratch->rows, scratch.get(),
+                                    *options_.monitor_override, pool_)
+          : snapshot.ScoreBatchInto(scratch->rows, scratch.get(), pool_);
   if (!scored.ok()) {
     ReleaseScratch(std::move(scratch));
-    for (size_t i : live) (*batch)[i].ticket->Fail(scored);
-    return;
+    ForEachLiveRow(batch, [&scored](PendingRequest&, RowSlot& slot, size_t) {
+      slot.error = scored;
+    });
+    return false;
   }
   auto done = std::chrono::steady_clock::now();
-  if (tracing) {
-    uint64_t done_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            done.time_since_epoch())
-            .count());
-    for (size_t k = 0; k < live.size(); ++k) {
-      TraceSpanSlot& slot = (*batch)[live[k]].ticket->trace;
+  const uint64_t done_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          done.time_since_epoch())
+          .count());
+  // Record stats before resolving any row: a client that returns from
+  // Wait and immediately reads stats() must see its own request counted.
+  // The batch latency feeds the EWMA the cost-aware admission consults.
+  stats_.RecordBatch(live, done - start);
+  if (options_.audit != nullptr) {
+    scratch->audit_groups.resize(live);
+    scratch->audit_labels.resize(live);
+  }
+  uint64_t density_checked = 0;
+  uint64_t density_outliers = 0;
+  k = 0;
+  ForEachLiveRow(batch, [&](PendingRequest& piece, RowSlot& slot, size_t) {
+    ScoreResult& r = scratch->results[k];
+    if (tracing) {
       // The snapshot's score fields are untouched; the trace id rides
       // along so wire replies can surface it. Written for every live
       // row (0 when unsampled) because the scratch results recycle.
-      scratch->results[k].trace_id = slot.context.trace_id;
-      if (slot.sampled()) slot.StampAt(TraceStage::kScore, done_ns);
+      r.trace_id = slot.trace.context.trace_id;
+      if (slot.trace.sampled()) slot.trace.StampAt(TraceStage::kScore, done_ns);
     }
-  }
-  // Record stats before fulfilling any ticket: a client that returns from
-  // Wait and immediately reads stats() must see its own request counted.
-  // The batch latency feeds the EWMA the cost-aware admission consults.
-  stats_.RecordBatch(live.size(), done - now);
-  uint64_t density_checked = 0;
-  uint64_t density_outliers = 0;
-  for (size_t k = 0; k < live.size(); ++k) {
-    const ScoreResult& r = scratch->results[k];
-    if (!r.density_checked) continue;
-    ++density_checked;
-    if (r.density_outlier) ++density_outliers;
-  }
-  stats_.RecordDensity(density_checked, density_outliers);
-  if (options_.audit != nullptr) {
-    // Resolve each row's audit identity: explicit request metadata wins
-    // over the group the snapshot extracted from the row itself. Folding
-    // happens before tickets complete for the same reason stats do — a
-    // client returning from Wait sees its own row in the audit counters.
-    scratch->audit_groups.resize(live.size());
-    scratch->audit_labels.resize(live.size());
-    for (size_t k = 0; k < live.size(); ++k) {
-      const RequestAuditInfo& info = (*batch)[live[k]].audit;
-      scratch->audit_groups[k] =
-          info.group >= 0 ? info.group : scratch->results[k].group;
+    if (r.density_checked) {
+      ++density_checked;
+      if (r.density_outlier) ++density_outliers;
+    }
+    if (options_.audit != nullptr) {
+      // Explicit request metadata wins over the group the snapshot
+      // extracted from the row itself.
+      const RequestAuditInfo& info = piece.ticket->audit;
+      scratch->audit_groups[k] = info.group >= 0 ? info.group : r.group;
       scratch->audit_labels[k] = info.label;
     }
+    stats_.RecordCompletion(done - piece.enqueue_time);
+    slot.result = r;
+    ++k;
+  });
+  stats_.RecordDensity(density_checked, density_outliers);
+  if (options_.audit != nullptr) {
+    // Folding happens before rows resolve for the same reason stats do —
+    // a client returning from Wait sees its own row in the audit
+    // counters.
     AuditFoldOutcome outcome;
     options_.audit->FoldBatch(scratch->rows, scratch->results.data(),
                               scratch->audit_groups.data(),
-                              scratch->audit_labels.data(), live.size(),
-                              &outcome);
+                              scratch->audit_labels.data(), live, &outcome);
     stats_.RecordAuditFold(outcome);
   }
+  ReleaseScratch(std::move(scratch));
   if (tracing) {
     // audit_fold delimits the fold section even for unaudited servers
     // (a ~zero-length span), so whole-span records always close with it
     // and stage decomposition sums to the scored path.
     uint64_t fold_ns = MonotonicNowNs();
-    for (size_t i : live) {
-      TraceSpanSlot& slot = (*batch)[i].ticket->trace;
-      if (!slot.sampled()) continue;
+    ForEachLiveRow(batch, [&](PendingRequest&, RowSlot& row, size_t) {
+      TraceSpanSlot& slot = row.trace;
+      if (!slot.sampled()) return;
       slot.StampAt(TraceStage::kAuditFold, fold_ns);
       auto stage_delta = [&slot](TraceStage from, TraceStage to) {
         return std::chrono::nanoseconds(
@@ -389,26 +458,9 @@ void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch) {
           2, stage_delta(TraceStage::kBatchAssemble, TraceStage::kScore));
       stats_.RecordStageLatency(
           3, stage_delta(TraceStage::kScore, TraceStage::kAuditFold));
-    }
+    });
   }
-  for (size_t k = 0; k < live.size(); ++k) {
-    stats_.RecordCompletion(done - (*batch)[live[k]].enqueue_time);
-  }
-  for (size_t k = 0; k < live.size(); ++k) {
-    (*batch)[live[k]].ticket->Complete(scratch->results[k]);
-  }
-  if (tracing && options_.trace.sink != nullptr && !options_.trace.defer_emit) {
-    // Whole-span export happens after tickets complete: a waiting
-    // client never blocks on trace-log I/O, and only sampled rows reach
-    // the sink at all.
-    for (size_t k = 0; k < live.size(); ++k) {
-      const TraceSpanSlot& slot = (*batch)[live[k]].ticket->trace;
-      if (slot.sampled()) {
-        AppendTraceRecord(slot, scratch->results[k].snapshot_version);
-      }
-    }
-  }
-  ReleaseScratch(std::move(scratch));
+  return true;
 }
 
 void ScoringServer::AppendTraceRecord(const TraceSpanSlot& slot,
@@ -418,14 +470,14 @@ void ScoringServer::AppendTraceRecord(const TraceSpanSlot& slot,
   if (!appended.ok()) stats_.RecordTraceAppendFailure();
 }
 
-void ScoringServer::EmitTrace(const ScoreTicket& ticket) {
-  if (options_.trace.sink == nullptr || !ticket.valid()) return;
-  const serve_internal::TicketState& state = *ticket.state_;
-  if (!state.trace.sampled()) return;
+void ScoringServer::EmitTrace(const ScoreTicket& ticket, size_t row) {
+  if (options_.trace.sink == nullptr || row >= ticket.size()) return;
+  const serve_internal::RowSlot& slot = ticket.state_->row(row);
+  if (!slot.trace.sampled()) return;
   // Reading result/error without the ticket mutex is ordered: callers
   // emit only after Wait() returned for this ticket on this thread.
-  AppendTraceRecord(state.trace,
-                    state.error.ok() ? state.result.snapshot_version : 0);
+  AppendTraceRecord(slot.trace,
+                    slot.error.ok() ? slot.result.snapshot_version : 0);
 }
 
 }  // namespace fairdrift

@@ -2,17 +2,27 @@
 //
 // Architecture (one arrow = one thread boundary):
 //
-//   client threads --Submit--> [AdmissionController] --> [RequestQueue]
-//        --> dispatch thread --[MicroBatcher]--> batch
+//   client threads --Submit(unit)--> [AdmissionController] -->
+//        [RequestQueue] --> dispatch thread --[MicroBatcher]--> batch
 //        --ThreadPool::Submit--> batch worker:
 //              cull expired deadlines, validate rows,
 //              ModelSnapshot::ScoreBatch (one immutable snapshot per
-//              batch), fulfill tickets, record ServerStats
+//              batch), resolve rows, record ServerStats
+//
+// The unit of admission is a run of 1..N contiguous rows with one
+// ticket and one completion: a single-row Submit is a unit of one, a
+// shard daemon submits each wire frame as one unit. A unit is admitted
+// or shed whole; the queue bound, the cost-aware prediction and the
+// drain barrier all count rows. A unit longer than the batch cap is
+// queued as cap-sized pieces sharing its ticket. Only a single-row unit
+// opens the coalescing window (micro_batcher.h).
 //
 // Snapshot isolation: UpdateSnapshot atomically publishes a new
 // ModelSnapshot; batches already dispatched keep scoring the snapshot
 // they grabbed, new batches see the new one. No request ever observes a
-// half-swapped model, and no swap ever waits for traffic to drain.
+// half-swapped model, and no swap ever waits for traffic to drain. (The
+// pieces of one long unit are separate batches, so a swap may land
+// between them; every row still reports the version that scored it.)
 //
 // Determinism: a given request row produces bitwise-identical
 // ScoreResult fields under every batching configuration and worker
@@ -116,10 +126,10 @@ class ScoringServer {
   ScoringServer(const ScoringServer&) = delete;
   ScoringServer& operator=(const ScoringServer&) = delete;
 
-  /// Submits one request row. `deadline_after` bounds how long the
-  /// request may wait before being shed (<= 0 uses the admission
-  /// policy's default; no default = no deadline). Fails fast with the
-  /// typed admission status (Unavailable on overload/shutdown,
+  /// Submits one request row: a unit of one. `deadline_after` bounds how
+  /// long the request may wait before being shed (<= 0 uses the
+  /// admission policy's default; no default = no deadline). Fails fast
+  /// with the typed admission status (Unavailable on overload/shutdown,
   /// DeadlineExceeded, InvalidArgument on a width mismatch); otherwise
   /// the returned ticket completes when a batch worker scores the row.
   Result<ScoreTicket> Submit(
@@ -133,23 +143,32 @@ class ScoringServer {
       std::vector<double> row, const RequestAuditInfo& audit,
       std::chrono::nanoseconds deadline_after = std::chrono::nanoseconds{0});
 
-  /// Submit with upstream trace linkage (shard daemons): the sampled
-  /// request's span parents under `trace.parent_span_id` and its slot
-  /// carries the wire-receive stamp. No-ops into the plain Submit
-  /// behavior when tracing is disabled.
-  Result<ScoreTicket> Submit(std::vector<double> row,
+  /// Submits one unit: rows.size() / width contiguous rows of `width`
+  /// fields, row-major, under one deadline (`audit` applies to every
+  /// row). The unit is admitted or shed whole, and the whole unit fails
+  /// fast with the typed status (InvalidArgument when `rows` is not a
+  /// whole, nonzero number of rows or `width` is not the snapshot's).
+  /// Otherwise the one returned ticket completes when its last row
+  /// resolves; ticket.Wait(i) then gives row i's score or typed error
+  /// (DeadlineExceeded when shed in the queue, InvalidArgument for a bad
+  /// category code), so one bad row never fails its neighbours.
+  /// `trace` links the unit to an upstream span (shard daemons): each
+  /// sampled row's span parents under `trace.parent_span_id` and carries
+  /// the wire-receive stamp. Rows are minted and sampled for tracing on
+  /// their own content, exactly as if submitted alone; no-op when
+  /// tracing is disabled.
+  Result<ScoreTicket> Submit(std::vector<double> rows, size_t width,
                              const RequestAuditInfo& audit,
                              const SubmitTraceInfo& trace,
                              std::chrono::nanoseconds deadline_after);
 
-  /// Emits one completed, trace-sampled ticket's whole-span record to
-  /// the configured sink. Only for owners that set
+  /// Emits row `row` of a completed ticket's whole-span record to the
+  /// configured sink. Only for owners that set
   /// ServerTraceOptions::defer_emit (they stamp transport stages on the
-  /// ticket's slot first); no-op for unsampled tickets or without a
-  /// sink. Append failures are counted
-  /// (ServerStats::trace_append_failures), never surfaced — tracing
-  /// must not fail serving.
-  void EmitTrace(const ScoreTicket& ticket);
+  /// row's slot first); no-op for unsampled rows or without a sink.
+  /// Append failures are counted (ServerStats::trace_append_failures),
+  /// never surfaced — tracing must not fail serving.
+  void EmitTrace(const ScoreTicket& ticket, size_t row);
 
   /// Submit + Wait. Not callable from the scoring pool's own workers.
   Result<ScoreResult> ScoreSync(
@@ -168,16 +187,16 @@ class ScoringServer {
   /// Idempotent; called by the destructor.
   void Stop();
 
-  /// Requests currently waiting in this server's queue (racy snapshot —
-  /// the fleet router's load signal, not a synchronization primitive).
+  /// Rows currently waiting in this server's queue (racy snapshot — the
+  /// fleet router's load signal, not a synchronization primitive).
   size_t queue_depth() const { return queue_.size(); }
 
   /// Batches currently being scored by pool workers (racy snapshot).
   size_t inflight_batches() const;
 
   /// Blocks until this server is provably drained: nothing queued
-  /// (unless `require_empty_queue` is false), nothing checked out of
-  /// the queue (the pop-to-completion handshake — covers requests the
+  /// (unless `require_empty_queue` is false), no row checked out of the
+  /// queue (the pop-to-completion handshake — covers rows the
   /// dispatcher popped but is still coalescing or handing to a worker),
   /// and no batch in flight. The fleet's rolling update uses this as
   /// its per-shard drain barrier — the router has already steered
@@ -200,6 +219,14 @@ class ScoringServer {
 
   void DispatchLoop();
   void ProcessBatch(std::vector<PendingRequest>* batch);
+  /// Scores the batch's `live` rows (those whose slot holds no error)
+  /// against `snapshot` in one call and writes each result into its
+  /// slot, recording stats, the audit fold and trace stages first.
+  /// Returns false when scoring failed (the error is then in every live
+  /// row's slot). `start` is when the batch began processing.
+  bool ScoreLiveRows(std::vector<PendingRequest>* batch,
+                     const ModelSnapshot& snapshot, size_t live,
+                     std::chrono::steady_clock::time_point start);
   /// Appends `slot`'s record to the trace sink, counting (never
   /// propagating) failures.
   void AppendTraceRecord(const TraceSpanSlot& slot, uint64_t snapshot_version);

@@ -42,10 +42,19 @@ class ServerStats {
   /// Stable stage key for exposition ("queue_wait", ...).
   static const char* StageName(size_t stage);
 
-  void RecordSubmitted() { submitted_.fetch_add(1, rel()); }
-  void RecordAdmissionShed() { shed_admission_.fetch_add(1, rel()); }
-  void RecordDeadlineShed() { shed_deadline_.fetch_add(1, rel()); }
-  void RecordInvalidRequest() { invalid_.fetch_add(1, rel()); }
+  /// Row counters: every admitted, shed, or invalid row counts once.
+  void RecordSubmitted(uint64_t rows = 1) {
+    submitted_.fetch_add(rows, rel());
+  }
+  void RecordAdmissionShed(uint64_t rows = 1) {
+    shed_admission_.fetch_add(rows, rel());
+  }
+  void RecordDeadlineShed(uint64_t rows = 1) {
+    shed_deadline_.fetch_add(rows, rel());
+  }
+  void RecordInvalidRequest(uint64_t rows = 1) {
+    invalid_.fetch_add(rows, rel());
+  }
   void RecordSnapshotSwap() { snapshot_swaps_.fetch_add(1, rel()); }
 
   /// One completed request with its submit→fulfill latency.
@@ -85,8 +94,10 @@ class ServerStats {
   /// (< kServeStages).
   void RecordStageLatency(size_t stage, std::chrono::nanoseconds latency);
 
-  /// One request selected by the trace sampler at admission.
-  void RecordTraceSampled() { trace_sampled_.fetch_add(1, rel()); }
+  /// Rows selected by the trace sampler at admission.
+  void RecordTraceSampled(uint64_t rows = 1) {
+    trace_sampled_.fetch_add(rows, rel());
+  }
 
   /// One sampled span record lost to a failed trace-log append. The
   /// chain stays valid and scoring is unaffected; this counter is the

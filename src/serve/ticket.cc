@@ -4,37 +4,32 @@ namespace fairdrift {
 
 namespace serve_internal {
 
-void TicketState::Complete(const ScoreResult& r) {
+void TicketState::Resolve(size_t n) {
   {
     std::lock_guard<std::mutex> lock(mu);
-    if (done) return;
+    unresolved -= n;
+    if (unresolved != 0) return;
     done = true;
-    result = r;
-    error = Status::OK();
-  }
-  cv.notify_all();
-}
-
-void TicketState::Fail(Status status) {
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (done) return;
-    done = true;
-    error = std::move(status);
   }
   cv.notify_all();
 }
 
 }  // namespace serve_internal
 
-Result<ScoreResult> ScoreTicket::Wait() const {
+Result<ScoreResult> ScoreTicket::Wait() const { return Wait(0); }
+
+Result<ScoreResult> ScoreTicket::Wait(size_t row) const {
   if (!state_) {
     return Status::FailedPrecondition("ScoreTicket: empty ticket");
   }
+  if (row >= state_->count) {
+    return Status::FailedPrecondition("ScoreTicket: row past the unit");
+  }
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->cv.wait(lock, [this] { return state_->done; });
-  if (!state_->error.ok()) return state_->error;
-  return state_->result;
+  const serve_internal::RowSlot& slot = state_->row(row);
+  if (!slot.error.ok()) return slot.error;
+  return slot.result;
 }
 
 bool ScoreTicket::WaitFor(std::chrono::nanoseconds timeout) const {

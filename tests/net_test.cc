@@ -32,10 +32,12 @@
 #include "net/socket.h"
 #include "serve/net/remote_fleet.h"
 #include "serve/net/shard_daemon.h"
+#include "serve/audit/audit_log.h"
 #include "serve/net/wire.h"
 #include "serve/server_stats.h"
 #include "serve/snapshot_io.h"
 #include "serve/snapshot_manifest.h"
+#include "serve/trace/trace_context.h"
 #include "util/binary_io.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -472,6 +474,52 @@ TEST(WireTest, TruncatedPayloadIsTypedErrorNotMisparse) {
   }
 }
 
+// A reply whose row count its bytes cannot hold fails before the
+// decoder reserves anything (a WireRowOutcome is ~100 bytes in memory,
+// so an 8-byte payload claiming 2^20 rows would otherwise allocate
+// ~100 MB first).
+TEST(WireTest, TruncatedReplyCountIsDataLossBeforeAllocating) {
+  for (uint64_t claimed : {uint64_t{1}, uint64_t{2}, uint64_t{1} << 20}) {
+    std::vector<WireRowOutcome> one(1);
+    BinaryWriter w;
+    net::SerializeRowOutcomes(one, &w);
+    std::string bytes = std::move(w).TakeBuffer();
+    BinaryWriter count;
+    count.WriteU64(claimed);
+    std::string header = std::move(count).TakeBuffer();
+    // Keep one outcome's bytes (a 63-byte minimum): enough for 1 row.
+    bytes.replace(0, header.size(), header);
+    BinaryReader r(bytes);
+    Result<std::vector<WireRowOutcome>> back =
+        net::DeserializeRowOutcomes(&r);
+    if (claimed == 1) {
+      EXPECT_TRUE(back.ok()) << back.status().ToString();
+      continue;
+    }
+    ASSERT_FALSE(back.ok()) << "claimed " << claimed;
+    EXPECT_EQ(back.status().code(), StatusCode::kDataLoss);
+  }
+  BinaryWriter count_only;
+  count_only.WriteU64(uint64_t{1} << 20);
+  std::string bytes = std::move(count_only).TakeBuffer();
+  BinaryReader r(bytes);
+  EXPECT_EQ(net::DeserializeRowOutcomes(&r).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(WireTest, FarDeadlineSaturatesInsteadOfWrapping) {
+  WireScoreRequest request;
+  request.deadline_ns = 0;
+  EXPECT_EQ(request.deadline(), std::chrono::nanoseconds{0});
+  request.deadline_ns = 5000;
+  EXPECT_EQ(request.deadline(), std::chrono::nanoseconds{5000});
+  request.deadline_ns =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(request.deadline(), std::chrono::nanoseconds::max());
+  request.deadline_ns = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(request.deadline(), std::chrono::nanoseconds::max());
+}
+
 TEST(WireTest, StatsViewRoundTripsBitwise) {
   // Drive a real ServerStats so every field (EWMAs, audit sentinels,
   // both histograms) holds a lived-in value, then round-trip its View.
@@ -806,6 +854,176 @@ TEST(ShardDaemonTest, MetricsScrapeExposesServerAndTraceFamilies) {
   EXPECT_EQ(plain_text.value().find("fairdrift_trace_log_records_total"),
             std::string::npos)
       << "no trace log, no trace-log family";
+}
+
+// ------------------------------------------------------ one frame, one unit
+
+/// One daemon with `options` (io timeout preset) plus a client to it.
+struct TestDaemon {
+  std::unique_ptr<ShardDaemon> daemon;
+  std::unique_ptr<RemoteShardClient> client;
+};
+
+TestDaemon StartDaemon(std::shared_ptr<const ModelSnapshot> snapshot,
+                       ShardDaemonOptions options = {}) {
+  TestDaemon td;
+  options.io_timeout = kIo;
+  Result<std::unique_ptr<ShardDaemon>> daemon =
+      ShardDaemon::Start(std::move(snapshot), options);
+  EXPECT_TRUE(daemon.ok()) << daemon.status().ToString();
+  if (!daemon.ok()) return td;
+  td.daemon = std::move(daemon).value();
+  td.client = std::make_unique<RemoteShardClient>(
+      "127.0.0.1", td.daemon->port(), kIo);
+  return td;
+}
+
+WireScoreRequest MakeWireRequest(const Matrix& rows, uint64_t deadline_ns = 0) {
+  WireScoreRequest request;
+  request.width = rows.cols();
+  request.rows = Flatten(rows);
+  request.deadline_ns = deadline_ns;
+  return request;
+}
+
+TEST(ShardDaemonTest, FrameScoresAsOneUnitInOneBatch) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(71, true);
+  ASSERT_NE(snapshot, nullptr);
+  TestDaemon td = StartDaemon(snapshot);  // default batching: cap 64
+  ASSERT_NE(td.daemon, nullptr);
+  Matrix requests = MakeRequests(64, 72);
+  Result<std::vector<ScoreResult>> want = snapshot->ScoreBatch(requests);
+  ASSERT_TRUE(want.ok());
+
+  ServerStats::View before = td.daemon->server()->stats();
+  Result<std::vector<WireRowOutcome>> got =
+      td.client->ScoreBatch(MakeWireRequest(requests));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectOutcomesMatch(got.value(), want.value());
+  ServerStats::View after = td.daemon->server()->stats();
+  EXPECT_EQ(after.batches - before.batches, 1u);
+  EXPECT_EQ(after.submitted - before.submitted, 64u);
+  EXPECT_EQ(after.completed - before.completed, 64u);
+}
+
+// Frames whose deadline is past the clock's range score as if they had
+// none (the ASan+UBSan job catches the overflow this used to be).
+TEST(ShardDaemonTest, FarWireDeadlinesScoreNormally) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(73, false);
+  ASSERT_NE(snapshot, nullptr);
+  TestDaemon td = StartDaemon(snapshot);
+  ASSERT_NE(td.daemon, nullptr);
+  Matrix requests = MakeRequests(8, 74);
+  Result<std::vector<ScoreResult>> want = snapshot->ScoreBatch(requests);
+  ASSERT_TRUE(want.ok());
+  for (uint64_t deadline_ns :
+       {static_cast<uint64_t>(std::numeric_limits<int64_t>::max()),
+        std::numeric_limits<uint64_t>::max()}) {
+    Result<std::vector<WireRowOutcome>> got =
+        td.client->ScoreBatch(MakeWireRequest(requests, deadline_ns));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectOutcomesMatch(got.value(), want.value());
+  }
+}
+
+TEST(ShardDaemonTest, FrameOverTheDepthBoundIsShedWhole) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(75, false);
+  ASSERT_NE(snapshot, nullptr);
+  ShardDaemonOptions options;
+  options.server.admission.max_queue_depth = 40;
+  TestDaemon td = StartDaemon(snapshot, options);
+  ASSERT_NE(td.daemon, nullptr);
+  Result<std::vector<WireRowOutcome>> got =
+      td.client->ScoreBatch(MakeWireRequest(MakeRequests(64, 76)));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got.value().size(), 64u);
+  for (const WireRowOutcome& outcome : got.value()) {
+    EXPECT_EQ(outcome.code, StatusCode::kUnavailable) << outcome.message;
+  }
+  ServerStats::View stats = td.daemon->server()->stats();
+  EXPECT_EQ(stats.shed_admission, 64u);
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.completed + stats.shed_deadline + stats.invalid,
+            stats.submitted);
+}
+
+TEST(ShardDaemonTest, BadRowInAFrameFailsOnlyItsOwnOutcome) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(77, true);
+  ASSERT_NE(snapshot, nullptr);
+  TestDaemon td = StartDaemon(snapshot);
+  ASSERT_NE(td.daemon, nullptr);
+  Matrix requests = MakeRequests(16, 78);
+  Result<std::vector<ScoreResult>> want = snapshot->ScoreBatch(requests);
+  ASSERT_TRUE(want.ok());
+  requests.At(3, 3) = 9.0;  // category code outside [0, 3)
+  Result<std::vector<WireRowOutcome>> got =
+      td.client->ScoreBatch(MakeWireRequest(requests));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got.value().size(), 16u);
+  for (size_t i = 0; i < 16; ++i) {
+    if (i == 3) {
+      EXPECT_EQ(got.value()[i].code, StatusCode::kInvalidArgument);
+      continue;
+    }
+    ExpectOutcomeMatches(got.value()[i], want.value()[i], i);
+  }
+  ServerStats::View stats = td.daemon->server()->stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.invalid, 1u);
+  EXPECT_EQ(stats.completed, 15u);
+}
+
+/// The stamp of `stage` in a span record's JSON, 0 when absent.
+uint64_t SpanStamp(const std::string& rec, TraceStage stage) {
+  const std::string key = std::string("\"") + TraceStageName(stage) + "\":";
+  size_t at = rec.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(rec.substr(at + key.size()));
+}
+
+TEST(ShardDaemonTest, TracedFrameWritesOneOrderedSpanPerSampledRow) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(79, true);
+  ASSERT_NE(snapshot, nullptr);
+  const uint32_t kModulus = 3;
+  ShardDaemonOptions options;
+  const std::string path = FreshDir("unit_frame_trace") + ".jsonl";
+  options.trace_log_path = path;
+  options.trace_sample_modulus = kModulus;
+  TestDaemon td = StartDaemon(snapshot, options);
+  ASSERT_NE(td.daemon, nullptr);
+
+  Matrix requests = MakeRequests(48, 80);
+  size_t sampled = 0;
+  for (size_t i = 0; i < requests.rows(); ++i) {
+    sampled += MintTraceContext(requests.RowPtr(i), requests.cols(), kModulus)
+                       .sampled()
+                   ? 1
+                   : 0;
+  }
+  ASSERT_GT(sampled, 0u);
+  Result<std::vector<WireRowOutcome>> got =
+      td.client->ScoreBatch(MakeWireRequest(requests));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  // Deferred emission lands before the reply frame.
+  EXPECT_EQ(td.daemon->trace_log()->records(), sampled);
+
+  td.daemon.reset();  // flush and close the log
+  AuditVerifyReport report;
+  Result<std::vector<AuditLogEntry>> entries =
+      ReadAuditLogChain(path, &report);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries.value().size(), sampled);
+  for (const AuditLogEntry& entry : entries.value()) {
+    uint64_t prev = 0;
+    for (size_t s = 0; s < kTraceStageCount; ++s) {
+      uint64_t ns = SpanStamp(entry.rec, static_cast<TraceStage>(s));
+      EXPECT_NE(ns, 0u) << TraceStageName(static_cast<TraceStage>(s))
+                        << " missing: " << entry.rec;
+      EXPECT_GE(ns, prev) << TraceStageName(static_cast<TraceStage>(s))
+                          << " regressed: " << entry.rec;
+      prev = ns;
+    }
+  }
 }
 
 TEST(RemoteFleetTest, MalformedRowWidthIsInvalidArgument) {

@@ -94,12 +94,27 @@ void ExpectBitwiseEqual(const ScoreResult& a, const ScoreResult& b,
 
 // ---------------------------------------------------------------- queue
 
+// A queue-level unit of `count` one-field rows holding first, first + 1,
+// ... — what Submit builds, without a server.
+PendingRequest MakeUnit(size_t count, double first = 0.0) {
+  auto state = std::make_shared<serve_internal::TicketState>();
+  state->count = count;
+  state->width = 1;
+  state->unresolved = count;
+  for (size_t i = 0; i < count; ++i) {
+    state->rows.push_back(first + static_cast<double>(i));
+  }
+  if (count > 1) state->rest.resize(count - 1);
+  PendingRequest unit;
+  unit.ticket = std::move(state);
+  unit.count = count;
+  return unit;
+}
+
 TEST(RequestQueueTest, FifoPushPopAndCapacity) {
   RequestQueue queue(3);
   for (int i = 0; i < 3; ++i) {
-    PendingRequest request;
-    request.row = {static_cast<double>(i)};
-    EXPECT_TRUE(queue.TryPush(std::move(request)));
+    EXPECT_TRUE(queue.TryPush(MakeUnit(1, static_cast<double>(i))));
   }
   PendingRequest overflow;
   EXPECT_FALSE(queue.TryPush(std::move(overflow)));  // full
@@ -107,16 +122,14 @@ TEST(RequestQueueTest, FifoPushPopAndCapacity) {
 
   std::vector<PendingRequest> batch;
   EXPECT_EQ(queue.PopBatch(2, std::chrono::nanoseconds{0}, &batch), 2u);
-  EXPECT_EQ(batch[0].row[0], 0.0);
-  EXPECT_EQ(batch[1].row[0], 1.0);
+  EXPECT_EQ(batch[0].ticket->rows[0], 0.0);
+  EXPECT_EQ(batch[1].ticket->rows[0], 1.0);
   EXPECT_EQ(queue.size(), 1u);
 }
 
 TEST(RequestQueueTest, CloseDrainsThenReturnsZero) {
   RequestQueue queue(8);
-  PendingRequest request;
-  request.row = {1.0};
-  EXPECT_TRUE(queue.TryPush(std::move(request)));
+  EXPECT_TRUE(queue.TryPush(MakeUnit(1, 1.0)));
   queue.Close();
   PendingRequest rejected;
   EXPECT_FALSE(queue.TryPush(std::move(rejected)));
@@ -127,11 +140,57 @@ TEST(RequestQueueTest, CloseDrainsThenReturnsZero) {
   EXPECT_EQ(queue.PopBatch(4, std::chrono::milliseconds{100}, &batch), 0u);
 }
 
+TEST(RequestQueueTest, DepthCountsRowsAndUnitsEnterWhole) {
+  RequestQueue queue(40);
+  EXPECT_FALSE(queue.TryPush(MakeUnit(64)));  // longer than the bound
+  EXPECT_TRUE(queue.TryPush(MakeUnit(30)));
+  EXPECT_FALSE(queue.TryPush(MakeUnit(20)));  // 50 rows > 40: none enter
+  EXPECT_EQ(queue.size(), 30u);
+  EXPECT_TRUE(queue.TryPush(MakeUnit(10)));
+  EXPECT_EQ(queue.size(), 40u);
+  EXPECT_EQ(queue.Observe().size, 40u);
+  EXPECT_FALSE(queue.TryPush(MakeUnit(1)));
+
+  // Popping hands the rows to checked_out(); acknowledging clears them.
+  std::vector<PendingRequest> batch;
+  EXPECT_EQ(queue.PopBatch(64, std::chrono::nanoseconds{0}, &batch), 40u);
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_EQ(queue.checked_out(), 40u);
+  queue.AckCheckedOut(40);
+  EXPECT_EQ(queue.checked_out(), 0u);
+}
+
+TEST(RequestQueueTest, LongUnitQueuesAsCapSizedPiecesSharingItsTicket) {
+  RequestQueue queue(1000);
+  PendingRequest unit = MakeUnit(150);
+  const serve_internal::TicketState* ticket = unit.ticket.get();
+  ASSERT_TRUE(queue.TryPush(std::move(unit), /*max_piece_rows=*/64));
+  EXPECT_EQ(queue.size(), 150u);
+  const size_t want_begin[] = {0, 64, 128};
+  const size_t want_count[] = {64, 64, 22};
+  for (size_t p = 0; p < 3; ++p) {
+    std::vector<PendingRequest> batch;
+    EXPECT_EQ(queue.PopBatch(64, std::chrono::nanoseconds{0}, &batch),
+              want_count[p]);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0].ticket.get(), ticket);
+    EXPECT_EQ(batch[0].begin, want_begin[p]);
+    EXPECT_EQ(batch[0].count, want_count[p]);
+  }
+  EXPECT_EQ(queue.size(), 0u);
+
+  // A piece over the cap (pushed without splitting) still pops, alone.
+  ASSERT_TRUE(queue.TryPush(MakeUnit(100)));
+  ASSERT_TRUE(queue.TryPush(MakeUnit(1)));
+  std::vector<PendingRequest> batch;
+  EXPECT_EQ(queue.PopBatch(64, std::chrono::nanoseconds{0}, &batch), 100u);
+  EXPECT_EQ(queue.size(), 1u);
+}
+
 TEST(MicroBatcherTest, BatchSizeOneSkipsCoalescingWindow) {
   RequestQueue queue(8);
-  PendingRequest request;
-  request.row = {1.0};
-  ASSERT_TRUE(queue.TryPush(std::move(request)));
+  ASSERT_TRUE(queue.TryPush(MakeUnit(1, 1.0)));
   BatchingOptions options;
   options.max_batch_size = 1;
   options.max_batch_delay = std::chrono::microseconds{1000000};  // 1s window
@@ -139,6 +198,41 @@ TEST(MicroBatcherTest, BatchSizeOneSkipsCoalescingWindow) {
   std::vector<PendingRequest> batch;
   // Must return immediately despite the huge window.
   EXPECT_EQ(batcher.NextBatch(&batch), 1u);
+}
+
+// The counterpart of BatchSizeOneSkipsCoalescingWindow for multi-row
+// units: all of a unit's rows arrive at once, so waiting out the window
+// for more would only idle.
+TEST(MicroBatcherTest, MultiRowUnitSkipsCoalescingWindow) {
+  BatchingOptions options;
+  options.max_batch_size = 64;
+  options.max_batch_delay = std::chrono::microseconds{1000000};  // 1s window
+  RequestQueue queue(256);
+  MicroBatcher batcher(&queue, options);
+  ASSERT_TRUE(queue.TryPush(MakeUnit(32)));
+  std::vector<PendingRequest> batch;
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(batcher.NextBatch(&batch), 32u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds{500});
+
+  // A single row opens the window, but a following unit that does not
+  // fit the batch ends it: nothing behind the head can be taken.
+  ASSERT_TRUE(queue.TryPush(MakeUnit(1)));
+  ASSERT_TRUE(queue.TryPush(MakeUnit(64)));
+  start = std::chrono::steady_clock::now();
+  EXPECT_EQ(batcher.NextBatch(&batch), 1u);
+  EXPECT_EQ(batcher.NextBatch(&batch), 64u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds{500});
+
+  // A single row followed by a unit that fits takes both, whole.
+  options.max_batch_delay = std::chrono::microseconds{20000};
+  MicroBatcher short_window(&queue, options);
+  ASSERT_TRUE(queue.TryPush(MakeUnit(1)));
+  ASSERT_TRUE(queue.TryPush(MakeUnit(32)));
+  EXPECT_EQ(short_window.NextBatch(&batch), 33u);
+  EXPECT_EQ(batch.size(), 2u);
 }
 
 // ------------------------------------------------------------- admission
@@ -244,6 +338,43 @@ TEST(AdmissionTest, CostAwareShedsPredictablyDoomedRequests) {
                   .Admit(queue, now, now + std::chrono::milliseconds{2},
                          ewma_1ms, 1)
                   .ok());
+}
+
+TEST(AdmissionTest, DepthBoundCountsTheUnitsRows) {
+  AdmissionOptions options;
+  options.max_queue_depth = 40;
+  AdmissionController admission(options);
+  RequestQueue queue(40);
+  auto now = std::chrono::steady_clock::now();
+  auto none = std::chrono::steady_clock::time_point::max();
+  EXPECT_EQ(admission.Admit(queue, now, none, 0.0, 64, 1, /*rows=*/64).code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(admission.Admit(queue, now, none, 0.0, 64, 1, 40).ok());
+  ASSERT_TRUE(queue.TryPush(MakeUnit(30)));
+  EXPECT_TRUE(admission.Admit(queue, now, none, 0.0, 64, 1, 10).ok());
+  EXPECT_EQ(admission.Admit(queue, now, none, 0.0, 64, 1, 11).code(),
+            StatusCode::kUnavailable);
+}
+
+// A deadline past the clock's range means none; the sum must never be
+// formed (signed overflow, caught by the UBSan job).
+TEST(AdmissionTest, FarDeadlinesSaturateToNone) {
+  using Clock = std::chrono::steady_clock;
+  AdmissionController admission{AdmissionOptions{}};
+  auto now = Clock::now();
+  EXPECT_EQ(admission.ResolveDeadline(now, std::chrono::nanoseconds::max()),
+            Clock::time_point::max());
+  EXPECT_EQ(admission.ResolveDeadline(now, Clock::time_point::max() - now),
+            Clock::time_point::max());
+  const std::chrono::nanoseconds just_inside =
+      Clock::time_point::max() - now - std::chrono::nanoseconds{1};
+  EXPECT_EQ(admission.ResolveDeadline(now, just_inside), now + just_inside);
+
+  AdmissionOptions far_default;
+  far_default.default_deadline = std::chrono::microseconds::max();
+  AdmissionController defaulted(far_default);
+  EXPECT_EQ(defaulted.ResolveDeadline(now, std::chrono::nanoseconds{0}),
+            Clock::time_point::max());
 }
 
 // ----------------------------------------------------------------- stats
@@ -849,6 +980,229 @@ TEST(ScoringServerTest, CoalescesConcurrentSubmissionsIntoBatches) {
   // into far fewer than 32 single-request batches.
   EXPECT_LE(stats.batches, kRequests / 2);
   EXPECT_GE(stats.mean_batch_size, 2.0);
+}
+
+// ------------------------------------------------------ multi-row units
+
+std::vector<double> FlattenRows(const std::vector<std::vector<double>>& rows) {
+  std::vector<double> flat;
+  for (const auto& row : rows) flat.insert(flat.end(), row.begin(), row.end());
+  return flat;
+}
+
+Matrix ToMatrix(const std::vector<std::vector<double>>& rows) {
+  Matrix m(rows.size(), rows.empty() ? 0 : rows[0].size());
+  for (size_t i = 0; i < rows.size(); ++i) m.SetRow(i, rows[i]);
+  return m;
+}
+
+// A unit longer than the cap is queued as cap-sized pieces: it scores as
+// batches of 64, 64 and 22 under its one ticket, bitwise equal to
+// direct scoring.
+TEST(ScoringServerTest, LongUnitScoresInCapSizedBatchesUnderOneTicket) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(30);
+  ASSERT_NE(snapshot, nullptr);
+  std::vector<std::vector<double>> rows = MakeRequests(150, 31);
+  Result<std::vector<ScoreResult>> reference =
+      snapshot->ScoreBatch(ToMatrix(rows));
+  ASSERT_TRUE(reference.ok());
+
+  ServerOptions options;
+  options.batching.max_batch_size = 64;
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot, options);
+  ASSERT_TRUE(server.ok());
+  Result<ScoreTicket> ticket = server.value()->Submit(
+      FlattenRows(rows), 4, RequestAuditInfo{}, SubmitTraceInfo{},
+      std::chrono::nanoseconds{0});
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  EXPECT_EQ(ticket.value().size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Result<ScoreResult> result = ticket.value().Wait(i);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectBitwiseEqual(result.value(), reference.value()[i], i);
+  }
+  EXPECT_TRUE(ticket.value().done());
+  EXPECT_EQ(ticket.value().Wait(rows.size()).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  ServerStats::View stats = server.value()->stats();
+  EXPECT_EQ(stats.submitted, 150u);
+  EXPECT_EQ(stats.completed, 150u);
+  EXPECT_EQ(stats.batches, 3u);
+  ASSERT_GE(stats.batch_size_hist.size(), 7u);
+  EXPECT_EQ(stats.batch_size_hist[6], 2u);  // [64, 128): the two full pieces
+  EXPECT_EQ(stats.batch_size_hist[4], 1u);  // [16, 32): the 22-row tail
+}
+
+TEST(ScoringServerTest, MultiRowUnitCompletesWellInsideTheWindow) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(32);
+  ASSERT_NE(snapshot, nullptr);
+  ServerOptions options;
+  options.batching.max_batch_size = 64;
+  options.batching.max_batch_delay = std::chrono::microseconds{1000000};
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot, options);
+  ASSERT_TRUE(server.ok());
+
+  auto start = std::chrono::steady_clock::now();
+  Result<ScoreTicket> ticket = server.value()->Submit(
+      FlattenRows(MakeRequests(32, 33)), 4, RequestAuditInfo{},
+      SubmitTraceInfo{}, std::chrono::nanoseconds{0});
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  ASSERT_TRUE(ticket.value().Wait().ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds{500});
+  EXPECT_EQ(server.value()->stats().batches, 1u);
+}
+
+TEST(ScoringServerTest, UnitIsShedWholeWhenItsRowsExceedTheDepthBound) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(34);
+  ASSERT_NE(snapshot, nullptr);
+  ServerOptions options;
+  options.admission.max_queue_depth = 40;
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot, options);
+  ASSERT_TRUE(server.ok());
+
+  Result<ScoreTicket> shed = server.value()->Submit(
+      FlattenRows(MakeRequests(64, 35)), 4, RequestAuditInfo{},
+      SubmitTraceInfo{}, std::chrono::nanoseconds{0});
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
+  Result<ScoreTicket> fits = server.value()->Submit(
+      FlattenRows(MakeRequests(40, 36)), 4, RequestAuditInfo{},
+      SubmitTraceInfo{}, std::chrono::nanoseconds{0});
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  ASSERT_TRUE(fits.value().Wait(39).ok());
+
+  ServerStats::View stats = server.value()->stats();
+  EXPECT_EQ(stats.shed_admission, 64u);
+  EXPECT_EQ(stats.submitted, 40u);
+  EXPECT_EQ(stats.completed, 40u);
+}
+
+TEST(ScoringServerTest, MalformedUnitShapeIsInvalidArgument) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(37);
+  ASSERT_NE(snapshot, nullptr);
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot);
+  ASSERT_TRUE(server.ok());
+  auto submit = [&](std::vector<double> rows, size_t width) {
+    return server.value()->Submit(std::move(rows), width, RequestAuditInfo{},
+                                  SubmitTraceInfo{},
+                                  std::chrono::nanoseconds{0});
+  };
+  EXPECT_EQ(submit({1, 2, 3, 4, 5}, 4).status().code(),
+            StatusCode::kInvalidArgument);  // not whole rows
+  EXPECT_EQ(submit({}, 4).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(submit({1, 2, 3}, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  // Whole rows of the wrong width: every row of the unit is invalid.
+  EXPECT_EQ(submit({1, 2, 3, 4, 5, 6}, 3).status().code(),
+            StatusCode::kInvalidArgument);
+  ServerStats::View stats = server.value()->stats();
+  EXPECT_EQ(stats.invalid, 3u + 2u);
+  EXPECT_EQ(stats.submitted, 0u);
+}
+
+TEST(ScoringServerTest, BadRowInAUnitFailsOnlyItself) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(38);
+  ASSERT_NE(snapshot, nullptr);
+  std::vector<std::vector<double>> rows = MakeRequests(16, 39);
+  // Every other row's score depends on its own bytes alone, so the
+  // reference can score the batch without the bad row.
+  Result<std::vector<ScoreResult>> reference =
+      snapshot->ScoreBatch(ToMatrix(rows));
+  ASSERT_TRUE(reference.ok());
+  rows[5][3] = 9.0;  // category code outside [0, 3)
+
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot);
+  ASSERT_TRUE(server.ok());
+  Result<ScoreTicket> ticket = server.value()->Submit(
+      FlattenRows(rows), 4, RequestAuditInfo{}, SubmitTraceInfo{},
+      std::chrono::nanoseconds{0});
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Result<ScoreResult> result = ticket.value().Wait(i);
+    if (i == 5) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectBitwiseEqual(result.value(), reference.value()[i], i);
+  }
+  ServerStats::View stats = server.value()->stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.invalid, 1u);
+  EXPECT_EQ(stats.completed, 15u);
+  EXPECT_EQ(stats.submitted, 16u);
+}
+
+// Row accounting and the drain barrier under a mix of unit sizes — single
+// rows (which open the window), frame-sized units, and units longer
+// than the cap (pieces) — racing into a queue small enough to shed some.
+TEST(ScoringServerTest, AccountingAndQuiesceHoldWithMultiRowUnitsInFlight) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(40);
+  ASSERT_NE(snapshot, nullptr);
+  ServerOptions options;
+  options.batching.max_batch_size = 32;
+  options.batching.max_batch_delay = std::chrono::milliseconds{2};
+  options.admission.max_queue_depth = 200;
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot, options);
+  ASSERT_TRUE(server.ok());
+
+  const size_t kSizes[] = {1, 7, 32, 1, 64, 100, 1, 33};
+  std::atomic<uint64_t> rows_attempted{0};
+  std::vector<std::vector<ScoreTicket>> admitted(4);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t round = 0; round < 6; ++round) {
+        for (size_t n : kSizes) {
+          std::vector<std::vector<double>> rows =
+              MakeRequests(n, 1000 + 100 * c + 10 * round + n);
+          if (n == 7) rows[3][3] = 9.0;  // one invalid row per 7-row unit
+          rows_attempted.fetch_add(n);
+          Result<ScoreTicket> ticket = server.value()->Submit(
+              FlattenRows(rows), 4, RequestAuditInfo{}, SubmitTraceInfo{},
+              std::chrono::nanoseconds{0});
+          if (ticket.ok()) {
+            admitted[c].push_back(std::move(ticket).value());
+          } else {
+            EXPECT_EQ(ticket.status().code(), StatusCode::kUnavailable);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  // Nothing new arrives, so the barrier must certify that every admitted
+  // row — queued, coalescing, or in a batch — has resolved.
+  ASSERT_TRUE(server.value()->Quiesce(std::chrono::seconds{30}).ok());
+  for (const std::vector<ScoreTicket>& tickets : admitted) {
+    for (const ScoreTicket& ticket : tickets) EXPECT_TRUE(ticket.done());
+  }
+
+  ServerStats::View stats = server.value()->stats();
+  EXPECT_EQ(stats.submitted + stats.shed_admission, rows_attempted.load());
+  EXPECT_EQ(stats.completed + stats.shed_deadline + stats.invalid,
+            stats.submitted);
+  EXPECT_GT(stats.completed, 0u);
+}
+
+TEST(ScoringServerTest, FarDeadlineScoresNormally) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(41);
+  ASSERT_NE(snapshot, nullptr);
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot);
+  ASSERT_TRUE(server.ok());
+  Result<ScoreResult> result = server.value()->ScoreSync(
+      MakeRequests(1, 42)[0], std::chrono::nanoseconds::max());
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
 }
 
 }  // namespace

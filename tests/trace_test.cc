@@ -473,7 +473,7 @@ TEST(ServerTraceTest, SampledRequestsStampMonotonicSpansAndEmitRecords) {
     info.parent_span_id = parent;
     info.wire_recv_ns = MonotonicNowNs();
     Result<ScoreTicket> ticket =
-        server.value()->Submit(row, RequestAuditInfo{}, info,
+        server.value()->Submit(row, row.size(), RequestAuditInfo{}, info,
                                std::chrono::nanoseconds{0});
     ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
     Result<ScoreResult> result = ticket.value().Wait();
