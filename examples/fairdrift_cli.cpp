@@ -1038,82 +1038,6 @@ int CmdShard(const CliFlags& flags) {
   return 0;
 }
 
-/// Element-wise merge of every reachable daemon's ServerStats::View into
-/// one wire view: counters summed, histograms merged bucket-wise (with
-/// bucket-count validation), percentiles recomputed from the merged
-/// latency histogram — never averaged per-shard.
-ServerStats::View MergeRemoteStatsViews(net::RemoteFleet* fleet) {
-  ServerStats::View merged;
-  double batch_size_sum = 0.0;
-  for (size_t s = 0; s < fleet->num_shards(); ++s) {
-    Result<ServerStats::View> remote = fleet->shard_client(s)->Stats();
-    if (!remote.ok()) continue;
-    const ServerStats::View& sv = remote.value();
-    merged.submitted += sv.submitted;
-    merged.completed += sv.completed;
-    merged.shed_admission += sv.shed_admission;
-    merged.shed_deadline += sv.shed_deadline;
-    merged.invalid += sv.invalid;
-    merged.batches += sv.batches;
-    merged.snapshot_swaps += sv.snapshot_swaps;
-    batch_size_sum += sv.mean_batch_size * static_cast<double>(sv.batches);
-    merged.ewma_batch_latency_us =
-        std::max(merged.ewma_batch_latency_us, sv.ewma_batch_latency_us);
-    merged.density_checked += sv.density_checked;
-    merged.density_outliers += sv.density_outliers;
-    merged.ewma_outlier_rate =
-        std::max(merged.ewma_outlier_rate, sv.ewma_outlier_rate);
-    merged.audit_windows += sv.audit_windows;
-    merged.audit_breaches += sv.audit_breaches;
-    merged.audit_alerts_raised += sv.audit_alerts_raised;
-    merged.audit_alert_active |= sv.audit_alert_active;
-    if (sv.audit_has_metrics) {
-      merged.audit_has_metrics = true;
-      merged.audit_last_di_star = sv.audit_last_di_star;
-      merged.audit_last_spd = sv.audit_last_spd;
-    }
-    if (merged.batch_size_hist.empty()) {
-      merged.batch_size_hist = sv.batch_size_hist;
-    } else {
-      (void)ServerStats::MergeHistogramInto(&merged.batch_size_hist,
-                                            sv.batch_size_hist);
-    }
-    if (merged.latency_hist.empty()) {
-      merged.latency_hist = sv.latency_hist;
-    } else {
-      (void)ServerStats::MergeHistogramInto(&merged.latency_hist,
-                                            sv.latency_hist);
-    }
-    merged.trace_sampled += sv.trace_sampled;
-    merged.trace_append_failures += sv.trace_append_failures;
-    for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-      if (merged.stage_hist[st].empty()) {
-        merged.stage_hist[st] = sv.stage_hist[st];
-      } else {
-        (void)ServerStats::MergeHistogramInto(&merged.stage_hist[st],
-                                              sv.stage_hist[st]);
-      }
-    }
-  }
-  if (merged.batches > 0) {
-    merged.mean_batch_size =
-        batch_size_sum / static_cast<double>(merged.batches);
-  }
-  if (!merged.latency_hist.empty()) {
-    merged.p50_latency_us =
-        ServerStats::PercentileUsFromHist(merged.latency_hist, 0.50);
-    merged.p95_latency_us =
-        ServerStats::PercentileUsFromHist(merged.latency_hist, 0.95);
-    merged.p99_latency_us =
-        ServerStats::PercentileUsFromHist(merged.latency_hist, 0.99);
-  }
-  for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-    merged.stage_p99_us[st] =
-        ServerStats::PercentileUsFromHist(merged.stage_hist[st], 0.99);
-  }
-  return merged;
-}
-
 /// The frontend router process's push staging area. Unlike a shard
 /// daemon the router keeps no chunk store of its own, so it asks the
 /// pusher for every chunk; the incremental hop is router -> shards,
@@ -1162,7 +1086,7 @@ net::Frame RouterHandleFrame(const net::Frame& frame, net::RemoteFleet* fleet,
     }
     case net::FrameType::kStatsSnapshot: {
       BinaryWriter w;
-      net::SerializeStatsView(MergeRemoteStatsViews(fleet), &w);
+      net::SerializeStatsView(fleet->stats(), &w);
       return net::Frame{net::FrameType::kStatsSnapshotReply,
                         std::move(w).TakeBuffer()};
     }
@@ -1173,8 +1097,8 @@ net::Frame RouterHandleFrame(const net::Frame& frame, net::RemoteFleet* fleet,
       // routing-lifecycle counters.
       std::string text;
       MetricsEmitter emitter(&text);
-      EmitStatsViewMetrics(MergeRemoteStatsViews(fleet), &emitter);
       FleetStatsView fv = fleet->stats();
+      EmitStatsViewMetrics(fv, &emitter);
       emitter.Counter("fairdrift_router_ejections_total",
                       "Shards ejected from routing", fv.ejections);
       emitter.Counter("fairdrift_router_readmissions_total",

@@ -419,81 +419,36 @@ Status ScoringFleet::RestartShard(size_t s) {
   return Status::OK();
 }
 
+double OutlierRate(const ServerStats::View& view) {
+  return view.density_checked == 0
+             ? 0.0
+             : static_cast<double>(view.density_outliers) /
+                   static_cast<double>(view.density_checked);
+}
+
+void FleetStatsView::DeriveFleetSignals() {
+  outlier_rate = OutlierRate(*this);
+  if (shard_versions.empty()) return;
+  auto [lo, hi] =
+      std::minmax_element(shard_versions.begin(), shard_versions.end());
+  min_snapshot_version = *lo;
+  max_snapshot_version = *hi;
+}
+
 FleetStatsView ScoringFleet::stats() const {
   FleetStatsView view;
   view.num_shards = servers_.size();
-  view.queue_depths.reserve(servers_.size());
-  view.shard_outlier_rates.reserve(servers_.size());
-  view.shard_completed.reserve(servers_.size());
-  view.shard_versions.reserve(servers_.size());
-  view.shard_ejected.reserve(servers_.size());
-  std::vector<uint64_t> merged_hist(ServerStats::kLatencyBuckets, 0);
-  std::array<std::vector<uint64_t>, ServerStats::kServeStages> merged_stage;
-  for (auto& h : merged_stage) h.assign(ServerStats::kLatencyBuckets, 0);
-  uint64_t batched_weighted = 0;
   for (size_t i = 0; i < servers_.size(); ++i) {
     std::shared_ptr<ScoringServer> server = shard_ref(i);
     ServerStats::View s = server->stats();
-    view.submitted += s.submitted;
-    view.completed += s.completed;
-    view.shed_admission += s.shed_admission;
-    view.shed_deadline += s.shed_deadline;
-    view.invalid += s.invalid;
-    view.batches += s.batches;
-    view.snapshot_swaps += s.snapshot_swaps;
-    view.density_checked += s.density_checked;
-    view.density_outliers += s.density_outliers;
-    batched_weighted +=
-        static_cast<uint64_t>(s.mean_batch_size * s.batches + 0.5);
-    // In-process views always carry kLatencyBuckets buckets, but the
-    // merge validates anyway (the same helper merges wire-deserialized
-    // views, where the count is genuinely untrusted). A mismatched
-    // histogram is skipped rather than misaligned.
-    (void)ServerStats::MergeHistogramInto(&merged_hist, s.latency_hist);
-    view.trace_sampled += s.trace_sampled;
-    view.trace_append_failures += s.trace_append_failures;
-    for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-      (void)ServerStats::MergeHistogramInto(&merged_stage[st],
-                                            s.stage_hist[st]);
-    }
+    view.MergeFrom(s);
     view.queue_depths.push_back(server->queue_depth());
-    view.shard_outlier_rates.push_back(
-        s.density_checked == 0
-            ? 0.0
-            : static_cast<double>(s.density_outliers) /
-                  static_cast<double>(s.density_checked));
+    view.shard_outlier_rates.push_back(OutlierRate(s));
     view.shard_completed.push_back(s.completed);
     view.shard_versions.push_back(server->CurrentSnapshot()->version());
     view.shard_ejected.push_back(ShardEjected(i) ? 1 : 0);
   }
-  view.mean_batch_size =
-      view.batches == 0 ? 0.0
-                        : static_cast<double>(batched_weighted) /
-                              static_cast<double>(view.batches);
-  view.outlier_rate =
-      view.density_checked == 0
-          ? 0.0
-          : static_cast<double>(view.density_outliers) /
-                static_cast<double>(view.density_checked);
-  // Fleet percentiles from the merged counts — averaging per-shard
-  // percentiles would misweight unevenly loaded shards.
-  view.p50_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.50);
-  view.p95_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.95);
-  view.p99_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.99);
-  for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-    view.stage_p99_us[st] =
-        ServerStats::PercentileUsFromHist(merged_stage[st], 0.99);
-  }
-  view.min_snapshot_version = view.shard_versions.empty()
-                                  ? 0
-                                  : *std::min_element(
-                                        view.shard_versions.begin(),
-                                        view.shard_versions.end());
-  view.max_snapshot_version = view.shard_versions.empty()
-                                  ? 0
-                                  : *std::max_element(
-                                        view.shard_versions.begin(),
-                                        view.shard_versions.end());
+  view.DeriveFleetSignals();
   view.rolling_updates = rolling_updates_.load(std::memory_order_relaxed);
   view.rollbacks = rollbacks_.load(std::memory_order_relaxed);
   view.ejections = ejections_.load(std::memory_order_relaxed);

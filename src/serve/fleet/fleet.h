@@ -49,7 +49,6 @@
 #ifndef FAIRDRIFT_SERVE_FLEET_FLEET_H_
 #define FAIRDRIFT_SERVE_FLEET_FLEET_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -208,27 +207,13 @@ struct RollingUpdateReport {
   std::string failure;
 };
 
-/// Fleet-wide aggregated statistics: counter sums, fleet percentiles
-/// derived from the element-wise merged latency histograms (NOT averaged
-/// per-shard percentiles), per-shard load, and snapshot-version skew.
-struct FleetStatsView {
+/// Fleet-wide statistics: every shard's ServerStats::View folded with
+/// View::MergeFrom (so fleet percentiles come from the merged latency
+/// histograms, never from averaged per-shard percentiles), plus what
+/// only a fleet has: per-shard load, snapshot-version skew, lifecycle
+/// counters and the audit tier.
+struct FleetStatsView : ServerStats::View {
   size_t num_shards = 0;
-  uint64_t submitted = 0;
-  uint64_t completed = 0;
-  uint64_t shed_admission = 0;
-  uint64_t shed_deadline = 0;
-  uint64_t invalid = 0;
-  uint64_t batches = 0;
-  uint64_t snapshot_swaps = 0;
-  double mean_batch_size = 0.0;
-  double p50_latency_us = 0.0;
-  double p95_latency_us = 0.0;
-  double p99_latency_us = 0.0;
-  /// Density-monitor rows evaluated across the fleet (all completed rows
-  /// in exact/bounded modes; the content-hash subset in sampled mode).
-  uint64_t density_checked = 0;
-  /// Checked rows below the density floor.
-  uint64_t density_outliers = 0;
   /// density_outliers / density_checked (0 before any row is checked) —
   /// the fleet drift signal. Computed from the summed counts, not an
   /// average of per-shard rates, so unevenly loaded shards weigh
@@ -263,18 +248,18 @@ struct FleetStatsView {
   uint64_t readmissions = 0;
   /// Per-shard ejected flag (1 = currently out of routing).
   std::vector<uint8_t> shard_ejected;
-  /// Requests selected by the content-hash trace sampler, fleet-wide.
-  uint64_t trace_sampled = 0;
-  /// Sampled span records lost to failed trace-log appends, fleet-wide.
-  uint64_t trace_append_failures = 0;
-  /// p99 latency per pipeline stage of sampled requests, derived from
-  /// the element-wise merged per-stage histograms (indexed by
-  /// ServerStats::StageName order). Zero until a sampled request lands.
-  std::array<double, ServerStats::kServeStages> stage_p99_us{};
   /// Fairness audit aggregates (audit.enabled == false when the fleet
   /// was built without the audit tier).
   FleetAuditView audit;
+
+  /// Sets outlier_rate from the folded density counters and the version
+  /// range from shard_versions: both fleets' last step after the fold.
+  void DeriveFleetSignals();
 };
+
+/// density_outliers / density_checked of one view (0 before any checked
+/// row).
+double OutlierRate(const ServerStats::View& view);
 
 /// N scoring-server shards behind a router, updated as one unit.
 class ScoringFleet : public ShardDirectory {

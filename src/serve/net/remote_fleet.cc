@@ -1,7 +1,6 @@
 #include "serve/net/remote_fleet.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <map>
 #include <thread>
@@ -544,9 +543,6 @@ FleetStatsView RemoteFleet::stats() const {
   view.shard_ejected.assign(n, 0);
   view.audit.shard_alert_active.assign(n, 0);
   view.audit.shard_windows.assign(n, 0);
-  std::vector<uint64_t> merged_hist;
-  std::array<std::vector<uint64_t>, ServerStats::kServeStages> merged_stage;
-  double batch_size_sum = 0.0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t s = 0; s < n; ++s) {
@@ -559,39 +555,9 @@ FleetStatsView RemoteFleet::stats() const {
     Result<ServerStats::View> remote = clients_[s]->Stats();
     if (!remote.ok()) continue;  // unreachable shard contributes nothing
     const ServerStats::View& sv = remote.value();
-    view.submitted += sv.submitted;
-    view.completed += sv.completed;
-    view.shed_admission += sv.shed_admission;
-    view.shed_deadline += sv.shed_deadline;
-    view.invalid += sv.invalid;
-    view.batches += sv.batches;
-    view.snapshot_swaps += sv.snapshot_swaps;
-    view.density_checked += sv.density_checked;
-    view.density_outliers += sv.density_outliers;
-    batch_size_sum += sv.mean_batch_size * static_cast<double>(sv.batches);
+    view.MergeFrom(sv);
     view.shard_completed[s] = sv.completed;
-    view.shard_outlier_rates[s] =
-        sv.density_checked > 0
-            ? static_cast<double>(sv.density_outliers) /
-                  static_cast<double>(sv.density_checked)
-            : 0.0;
-    if (merged_hist.empty()) {
-      merged_hist = sv.latency_hist;
-    } else {
-      // A daemon from a mismatched build (different bucket count) is
-      // skipped rather than misread; its scalar counters still merged.
-      (void)ServerStats::MergeHistogramInto(&merged_hist, sv.latency_hist);
-    }
-    view.trace_sampled += sv.trace_sampled;
-    view.trace_append_failures += sv.trace_append_failures;
-    for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-      if (merged_stage[st].empty()) {
-        merged_stage[st] = sv.stage_hist[st];
-      } else {
-        (void)ServerStats::MergeHistogramInto(&merged_stage[st],
-                                              sv.stage_hist[st]);
-      }
-    }
+    view.shard_outlier_rates[s] = OutlierRate(sv);
     // Audit tallies ride the same wire view; a shard with any audit
     // activity marks the fleet view enabled.
     if (sv.audit_windows > 0 || sv.audit_alert_active ||
@@ -607,35 +573,7 @@ FleetStatsView RemoteFleet::stats() const {
       ++view.audit.shards_alerting;
     }
   }
-  if (view.batches > 0) {
-    view.mean_batch_size = batch_size_sum / static_cast<double>(view.batches);
-  }
-  if (!merged_hist.empty()) {
-    view.p50_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.50);
-    view.p95_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.95);
-    view.p99_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.99);
-  }
-  for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-    if (!merged_stage[st].empty()) {
-      view.stage_p99_us[st] =
-          ServerStats::PercentileUsFromHist(merged_stage[st], 0.99);
-    }
-  }
-  view.outlier_rate =
-      view.density_checked > 0
-          ? static_cast<double>(view.density_outliers) /
-                static_cast<double>(view.density_checked)
-          : 0.0;
-  view.min_snapshot_version = view.shard_versions.empty()
-                                  ? 0
-                                  : *std::min_element(
-                                        view.shard_versions.begin(),
-                                        view.shard_versions.end());
-  view.max_snapshot_version = view.shard_versions.empty()
-                                  ? 0
-                                  : *std::max_element(
-                                        view.shard_versions.begin(),
-                                        view.shard_versions.end());
+  view.DeriveFleetSignals();
   view.rolling_updates = rolling_updates_.load();
   view.rollbacks = rollbacks_.load();
   view.ejections = ejections_.load();

@@ -179,12 +179,11 @@ class RemoteFleet : public ShardDirectory {
       const ChunkedSnapshot& chunked,
       const RollingUpdateOptions& options = {});
 
-  /// Fleet-wide stats merged from per-daemon Stats() RPCs: counters
-  /// summed, fleet percentiles from the element-wise merged latency
-  /// histograms (bucket compatibility validated — a daemon from a
+  /// Fleet-wide stats: one Stats() RPC per daemon, each reply folded
+  /// with ServerStats::View::MergeFrom (a daemon histogram from a
   /// mismatched build is skipped, not misread), audit tallies summed.
   /// Unreachable shards contribute nothing (num_shards still counts
-  /// them; shard_versions reports 0).
+  /// them; shard_versions reports the last probed version).
   FleetStatsView stats() const;
 
   /// One synchronous probe sweep (the prober thread's body). Exposed so

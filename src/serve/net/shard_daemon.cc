@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "serve/net/wire.h"
+#include "serve/trace/metrics_registry.h"
 #include "serve/trace/trace_context.h"
 #include "util/fault.h"
 #include "util/timer.h"
@@ -43,35 +44,6 @@ Result<std::unique_ptr<ShardDaemon>> ShardDaemon::Start(
   if (!server.ok()) return server.status();
   daemon->server_ = std::move(server).value();
 
-  // One collector renders everything a scrape needs: the server's
-  // lock-free stats view in the shared fairdrift_* family set, the
-  // daemon's wire counters, and point-in-time serving gauges.
-  ShardDaemon* raw = daemon.get();
-  daemon->metrics_.AddCollector([raw](MetricsEmitter* out) {
-    EmitStatsViewMetrics(raw->server_->stats(), out);
-    Counters wire = raw->counters();
-    out->Counter("fairdrift_net_connections_accepted_total",
-                 "TCP connections accepted", wire.connections_accepted);
-    out->Counter("fairdrift_net_frames_served_total",
-                 "Request frames answered", wire.frames_served);
-    out->Counter("fairdrift_net_frame_errors_total",
-                 "Error frames sent to peers", wire.frame_errors);
-    out->Counter("fairdrift_net_push_commits_total",
-                 "Snapshot pushes committed", wire.push_commits);
-    out->Counter("fairdrift_net_push_reverts_total",
-                 "Snapshot pushes reverted", wire.push_reverts);
-    out->Gauge("fairdrift_queue_depth", "Admitted requests awaiting a batch",
-               static_cast<double>(raw->server_->queue_depth()));
-    out->Gauge("fairdrift_snapshot_version",
-               "Model snapshot version serving new batches",
-               static_cast<double>(raw->server_->CurrentSnapshot()->version()));
-    if (raw->trace_log_ != nullptr) {
-      out->Counter("fairdrift_trace_log_records_total",
-                   "Whole-span records appended to the trace log",
-                   raw->trace_log_->records());
-    }
-  });
-
   // Seed the chunk store from the snapshot we serve, so the very first
   // push already diffs against real content: a pusher whose snapshot
   // shares four of five chunks with ours sends one chunk, not five.
@@ -87,6 +59,7 @@ Result<std::unique_ptr<ShardDaemon>> ShardDaemon::Start(
   if (!listener.ok()) return listener.status();
   daemon->listener_ = std::move(listener).value();
 
+  ShardDaemon* raw = daemon.get();
   daemon->accept_thread_ = std::thread([raw] { raw->AcceptLoop(); });
   return daemon;
 }
@@ -298,7 +271,33 @@ Frame ShardDaemon::HandleStatsSnapshot() {
 }
 
 Frame ShardDaemon::HandleMetrics() {
-  return Frame{FrameType::kMetricsReply, metrics_.RenderText()};
+  // The server's stats view in the shared fairdrift_* family set, then
+  // the daemon's wire counters and point-in-time serving gauges.
+  std::string text;
+  MetricsEmitter out(&text);
+  EmitStatsViewMetrics(server_->stats(), &out);
+  Counters wire = counters();
+  out.Counter("fairdrift_net_connections_accepted_total",
+              "TCP connections accepted", wire.connections_accepted);
+  out.Counter("fairdrift_net_frames_served_total", "Request frames answered",
+              wire.frames_served);
+  out.Counter("fairdrift_net_frame_errors_total", "Error frames sent to peers",
+              wire.frame_errors);
+  out.Counter("fairdrift_net_push_commits_total", "Snapshot pushes committed",
+              wire.push_commits);
+  out.Counter("fairdrift_net_push_reverts_total", "Snapshot pushes reverted",
+              wire.push_reverts);
+  out.Gauge("fairdrift_queue_depth", "Admitted requests awaiting a batch",
+            static_cast<double>(server_->queue_depth()));
+  out.Gauge("fairdrift_snapshot_version",
+            "Model snapshot version serving new batches",
+            static_cast<double>(server_->CurrentSnapshot()->version()));
+  if (trace_log_ != nullptr) {
+    out.Counter("fairdrift_trace_log_records_total",
+                "Whole-span records appended to the trace log",
+                trace_log_->records());
+  }
+  return Frame{FrameType::kMetricsReply, std::move(text)};
 }
 
 Frame ShardDaemon::HandlePushManifest(const Frame& frame) {

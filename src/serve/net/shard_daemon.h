@@ -46,7 +46,6 @@
 #include "net/socket.h"
 #include "serve/server.h"
 #include "serve/snapshot_manifest.h"
-#include "serve/trace/metrics_registry.h"
 #include "serve/trace/trace_log.h"
 
 namespace fairdrift {
@@ -103,10 +102,6 @@ class ShardDaemon {
   /// The trace log, or null when tracing is off (test introspection).
   TraceLog* trace_log() { return trace_log_.get(); }
 
-  /// The daemon's metrics registry. kMetrics scrapes render it; owners
-  /// may register additional instruments/collectors before traffic.
-  MetricsRegistry* metrics() { return &metrics_; }
-
   /// Wire activity counters.
   struct Counters {
     uint64_t connections_accepted = 0;
@@ -151,7 +146,6 @@ class ShardDaemon {
   /// the trace log and may emit during its Stop() drain, so the log
   /// must be destroyed after the server.
   std::unique_ptr<TraceLog> trace_log_;
-  MetricsRegistry metrics_;
   std::unique_ptr<ScoringServer> server_;
   TcpListener listener_;
   std::atomic<bool> stop_{false};

@@ -158,6 +158,12 @@ Result<std::vector<uint64_t>> ReadU64Hist(BinaryReader* r) {
   if (count.value() > kMaxHistBuckets) {
     return Status::DataLoss("stats view claims an implausible bucket count");
   }
+  // As ReadDoubleVector does: a count the remaining bytes cannot hold
+  // fails before it allocates.
+  if (count.value() > r->remaining() / 8) {
+    return Status::DataLoss(
+        "stats view truncated: a bucket count exceeds the payload");
+  }
   std::vector<uint64_t> hist;
   hist.reserve(count.value());
   for (uint64_t i = 0; i < count.value(); ++i) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "serve/audit/auditor.h"
 
@@ -25,6 +27,25 @@ uint64_t DoubleToBits(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
+}
+
+/// The integer row count a view's mean_batch_size was derived from. A
+/// wire view's mean is untrusted, so it is clamped before the cast
+/// (an out-of-range double-to-integer conversion is undefined).
+uint64_t BatchedRows(const ServerStats::View& view) {
+  double rows =
+      view.mean_batch_size * static_cast<double>(view.batches) + 0.5;
+  if (!(rows >= 1.0)) return 0;
+  if (rows >= 0x1p64) return std::numeric_limits<uint64_t>::max();
+  return static_cast<uint64_t>(rows);
+}
+
+/// Adds `src` into `dst` at `buckets` entries: a `dst` of another length
+/// restarts from zeros, and a `src` of another length is skipped.
+void FoldHistogram(std::vector<uint64_t>* dst,
+                   const std::vector<uint64_t>& src, size_t buckets) {
+  if (dst->size() != buckets) dst->assign(buckets, 0);
+  (void)ServerStats::MergeHistogramInto(dst, src);
 }
 
 }  // namespace
@@ -216,6 +237,50 @@ Status ServerStats::MergeHistogramInto(std::vector<uint64_t>* dst,
   }
   for (size_t b = 0; b < src.size(); ++b) (*dst)[b] += src[b];
   return Status::OK();
+}
+
+void ServerStats::View::MergeFrom(const View& other) {
+  const uint64_t rows = BatchedRows(*this) + BatchedRows(other);
+  submitted += other.submitted;
+  completed += other.completed;
+  shed_admission += other.shed_admission;
+  shed_deadline += other.shed_deadline;
+  invalid += other.invalid;
+  batches += other.batches;
+  snapshot_swaps += other.snapshot_swaps;
+  density_checked += other.density_checked;
+  density_outliers += other.density_outliers;
+  audit_windows += other.audit_windows;
+  audit_breaches += other.audit_breaches;
+  audit_alerts_raised += other.audit_alerts_raised;
+  trace_sampled += other.trace_sampled;
+  trace_append_failures += other.trace_append_failures;
+  mean_batch_size = batches == 0 ? 0.0
+                                 : static_cast<double>(rows) /
+                                       static_cast<double>(batches);
+
+  ewma_batch_latency_us =
+      std::max(ewma_batch_latency_us, other.ewma_batch_latency_us);
+  ewma_outlier_rate = std::max(ewma_outlier_rate, other.ewma_outlier_rate);
+  audit_alert_active = audit_alert_active || other.audit_alert_active;
+  if (other.audit_has_metrics &&
+      (!audit_has_metrics ||
+       std::make_pair(other.audit_last_di_star, -other.audit_last_spd) <
+           std::make_pair(audit_last_di_star, -audit_last_spd))) {
+    audit_has_metrics = true;
+    audit_last_di_star = other.audit_last_di_star;
+    audit_last_spd = other.audit_last_spd;
+  }
+
+  FoldHistogram(&batch_size_hist, other.batch_size_hist, kBatchBuckets);
+  FoldHistogram(&latency_hist, other.latency_hist, kLatencyBuckets);
+  p50_latency_us = PercentileUsFromHist(latency_hist, 0.50);
+  p95_latency_us = PercentileUsFromHist(latency_hist, 0.95);
+  p99_latency_us = PercentileUsFromHist(latency_hist, 0.99);
+  for (size_t s = 0; s < kServeStages; ++s) {
+    FoldHistogram(&stage_hist[s], other.stage_hist[s], kLatencyBuckets);
+    stage_p99_us[s] = PercentileUsFromHist(stage_hist[s], 0.99);
+  }
 }
 
 }  // namespace fairdrift

@@ -5,7 +5,8 @@
 // histogram (4 buckets per octave of nanoseconds, ≤ ~19% quantile error)
 // from which p50/p95/p99 are derived; batch sizes land in power-of-two
 // buckets so the batching behavior (did coalescing actually happen?) is
-// visible, not just the mean.
+// visible, not just the mean. View::MergeFrom is the one rule set that
+// combines views: both fleets and the router fold their shards with it.
 
 #ifndef FAIRDRIFT_SERVE_SERVER_STATS_H_
 #define FAIRDRIFT_SERVE_SERVER_STATS_H_
@@ -60,7 +61,7 @@ class ServerStats {
   /// One completed request with its submit→fulfill latency.
   void RecordCompletion(std::chrono::nanoseconds latency);
 
-  /// One scored batch of `batch_size` requests.
+  /// One scored batch of `batch_size` rows.
   void RecordBatch(size_t batch_size);
 
   /// One scored batch plus its wall-clock scoring latency; feeds the
@@ -145,11 +146,12 @@ class ServerStats {
     double audit_last_di_star = 1.0;
     /// Latest completed window's statistical parity difference.
     double audit_last_spd = 0.0;
-    /// Completed-request counts per power-of-two batch-size bucket.
+    /// Scored-batch counts per power-of-two batch-size (rows) bucket
+    /// (kBatchBuckets entries).
     std::vector<uint64_t> batch_size_hist;
     /// Completed-request counts per log-scale latency bucket
     /// (kLatencyBuckets entries). Bucket counts from several servers add
-    /// element-wise, which is how FleetStats derives fleet-wide
+    /// element-wise, which is how MergeFrom derives fleet-wide
     /// percentiles instead of averaging per-shard ones.
     std::vector<uint64_t> latency_hist;
     /// Requests the content-hash trace sampler selected at admission.
@@ -163,6 +165,25 @@ class ServerStats {
     /// and element-wise merge rules as latency_hist) — this is how a
     /// router-merged p99 decomposes by pipeline stage.
     std::array<std::vector<uint64_t>, kServeStages> stage_hist;
+
+    /// Folds `other` into this view with one rule per field, so a fold
+    /// of several views gives the same view in any order:
+    ///  - the 14 u64 counters add;
+    ///  - batch_size_hist, latency_hist and stage_hist add bucket-wise
+    ///    and always come out with this build's bucket counts; a
+    ///    histogram of another length (a view from another build) is
+    ///    skipped wherever it comes in the fold, while its view's
+    ///    counters still add;
+    ///  - mean_batch_size is Σ batched rows / Σ batches, each view's
+    ///    row count recovered as the integer its mean was derived from;
+    ///  - the latency percentiles and stage_p99_us re-derive from the
+    ///    merged histograms;
+    ///  - both EWMAs keep the max (the worst server);
+    ///  - audit_alert_active and audit_has_metrics OR;
+    ///  - audit_last_di_star/spd keep the least-fair pair among views
+    ///    with metrics: the lowest DI*, ties going to the higher SPD
+    ///    (an absolute selection-rate gap, so higher is less fair).
+    void MergeFrom(const View& other);
   };
 
   View Snapshot() const;

@@ -1,26 +1,10 @@
 #include "serve/trace/metrics_registry.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/string_util.h"
 
 namespace fairdrift {
-namespace {
-
-double BitsToDouble(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-uint64_t DoubleToBits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
 
 void MetricsEmitter::Header(const std::string& name, const std::string& help,
                             const char* type) {
@@ -63,49 +47,6 @@ void MetricsEmitter::Gauge(const std::string& name, const std::string& help,
                            double value, const std::string& labels) {
   Header(name, help, "gauge");
   Line(name, labels, StrFormat("%.17g", value));
-}
-
-void MetricsRegistry::Gauge::Set(double v) {
-  bits_.store(DoubleToBits(v), std::memory_order_relaxed);
-}
-
-double MetricsRegistry::Gauge::value() const {
-  return BitsToDouble(bits_.load(std::memory_order_relaxed));
-}
-
-MetricsRegistry::Counter* MetricsRegistry::AddCounter(
-    const std::string& name, const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.push_back({name, help, std::make_unique<Counter>()});
-  return counters_.back().counter.get();
-}
-
-MetricsRegistry::Gauge* MetricsRegistry::AddGauge(const std::string& name,
-                                                  const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  gauges_.push_back({name, help, std::make_unique<Gauge>()});
-  return gauges_.back().gauge.get();
-}
-
-void MetricsRegistry::AddCollector(Collector collector) {
-  std::lock_guard<std::mutex> lock(mu_);
-  collectors_.push_back(std::move(collector));
-}
-
-std::string MetricsRegistry::RenderText() const {
-  std::string out;
-  MetricsEmitter emitter(&out);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const OwnedCounter& c : counters_) {
-    emitter.Counter(c.name, c.help, c.counter->value());
-  }
-  for (const OwnedGauge& g : gauges_) {
-    emitter.Gauge(g.name, g.help, g.gauge->value());
-  }
-  for (const Collector& collector : collectors_) {
-    collector(&emitter);
-  }
-  return out;
 }
 
 void EmitStatsViewMetrics(const ServerStats::View& view, MetricsEmitter* out) {

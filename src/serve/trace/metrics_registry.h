@@ -1,32 +1,24 @@
-// MetricsRegistry: unified counters/gauges + Prometheus-style text.
+// Metrics exposition: Prometheus-style text for the serving tier.
 //
-// Two ways metrics reach a scrape:
+// MetricsEmitter writes the Prometheus text format (one `# HELP`/`# TYPE`
+// per family, `name{labels} value` lines) sample by sample into a
+// string. There is no registry of instruments: every scrape renders
+// from state that already aggregates itself. A shard daemon's kMetrics
+// reply is EmitStatsViewMetrics over its server's ServerStats::View,
+// then its wire counters and gauges; the router's is the same call over
+// its fleet-merged view (View::MergeFrom), then its routing counters.
 //
-//  * Owned instruments: AddCounter/AddGauge return stable pointers whose
-//    write path is one relaxed atomic op — safe to bump from accept
-//    loops and batch workers. RenderText reads them at scrape time.
-//  * Collectors: callbacks invoked per scrape that emit samples from
-//    state that already aggregates itself (ServerStats::View,
-//    FleetStatsView, daemon counters). This is how the serving tier's
-//    existing lock-free stats register "into" the registry without a
-//    second copy of every counter.
-//
-// Exposition is the Prometheus text format (one `# HELP`/`# TYPE` per
-// family, `name{labels} value` lines). Histograms are exposed as
-// quantile-labeled gauges derived via ServerStats::PercentileUsFromHist
-// rather than 256 cumulative buckets. EmitStatsViewMetrics defines the
-// shared fairdrift_* family set: shard daemons render their own view,
-// the router renders the fleet-merged view, so a router scrape equals
-// the element-wise sum/merge of its daemons' scrapes family by family.
+// Histograms are exposed as quantile-labeled gauges derived via
+// ServerStats::PercentileUsFromHist rather than 256 cumulative buckets.
+// Because the daemons and the router both go through
+// EmitStatsViewMetrics, and MergeFrom adds every counter, a router
+// scrape equals the sum of its daemons' scrapes counter family by
+// counter family.
 
 #ifndef FAIRDRIFT_SERVE_TRACE_METRICS_REGISTRY_H_
 #define FAIRDRIFT_SERVE_TRACE_METRICS_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -34,9 +26,7 @@
 
 namespace fairdrift {
 
-/// Builds exposition text sample by sample. Standalone (the router
-/// renders a one-off scrape without a registry); RenderText drives one
-/// internally.
+/// Builds exposition text sample by sample into a caller-owned string.
 class MetricsEmitter {
  public:
   explicit MetricsEmitter(std::string* out) : out_(out) {}
@@ -59,58 +49,6 @@ class MetricsEmitter {
 
   std::string* out_;
   std::vector<std::string> seen_families_;
-};
-
-/// Thread-safe instrument registry. Registration takes a lock; the
-/// instrument write path never does.
-class MetricsRegistry {
- public:
-  class Counter {
-   public:
-    void Increment(uint64_t n = 1) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    }
-    uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
-   private:
-    std::atomic<uint64_t> value_{0};
-  };
-
-  class Gauge {
-   public:
-    void Set(double v);
-    double value() const;
-
-   private:
-    std::atomic<uint64_t> bits_{0};  // IEEE-754 bits of the value
-  };
-
-  /// Registers an owned instrument; the pointer stays valid for the
-  /// registry's lifetime. Names must be valid Prometheus metric names.
-  Counter* AddCounter(const std::string& name, const std::string& help);
-  Gauge* AddGauge(const std::string& name, const std::string& help);
-
-  /// Registers a scrape-time callback emitting derived samples.
-  using Collector = std::function<void(MetricsEmitter*)>;
-  void AddCollector(Collector collector);
-
-  /// Renders every owned instrument then every collector's samples.
-  std::string RenderText() const;
-
- private:
-  struct OwnedCounter {
-    std::string name, help;
-    std::unique_ptr<Counter> counter;
-  };
-  struct OwnedGauge {
-    std::string name, help;
-    std::unique_ptr<Gauge> gauge;
-  };
-
-  mutable std::mutex mu_;
-  std::vector<OwnedCounter> counters_;
-  std::vector<OwnedGauge> gauges_;
-  std::vector<Collector> collectors_;
 };
 
 /// Emits the standard fairdrift_* family set of one server-stats view.

@@ -268,6 +268,12 @@ TEST(FleetTest, StatsMergeAcrossShards) {
   EXPECT_GT(stats.shard_completed[0], 0u);
   EXPECT_GT(stats.shard_completed[1], 0u);
   EXPECT_EQ(stats.queue_depths.size(), 2u);
+  // The merged batch-size histogram counts every shard's batches.
+  ASSERT_EQ(stats.batch_size_hist.size(), ServerStats::kBatchBuckets);
+  uint64_t hist_batches = 0;
+  for (uint64_t count : stats.batch_size_hist) hist_batches += count;
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_EQ(hist_batches, stats.batches);
   // Percentiles from the merged histogram are ordered and populated.
   EXPECT_GT(stats.p50_latency_us, 0.0);
   EXPECT_LE(stats.p50_latency_us, stats.p95_latency_us);

@@ -589,6 +589,49 @@ TEST(WireTest, StatsViewRoundTripsBitwise) {
   }
 }
 
+std::string StatsBytes(const ServerStats::View& view) {
+  BinaryWriter w;
+  net::SerializeStatsView(view, &w);
+  return std::move(w).TakeBuffer();
+}
+
+TEST(WireTest, EveryStrictPrefixOfAStatsViewIsDataLoss) {
+  ServerStats stats;
+  stats.RecordSubmitted(3);
+  stats.RecordCompletion(std::chrono::microseconds(250));
+  stats.RecordBatch(3, std::chrono::microseconds(400));
+  stats.RecordStageLatency(2, std::chrono::microseconds(90));
+  std::string bytes = StatsBytes(stats.Snapshot());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    BinaryReader r(bytes.data(), cut);
+    Result<ServerStats::View> back = net::DeserializeStatsView(&r);
+    ASSERT_FALSE(back.ok()) << "cut at " << cut;
+    ASSERT_EQ(back.status().code(), StatusCode::kDataLoss) << "cut at " << cut;
+  }
+  BinaryReader whole(bytes);
+  EXPECT_TRUE(net::DeserializeStatsView(&whole).ok());
+}
+
+// A histogram whose bucket count its bytes cannot hold fails before the
+// decoder reserves anything (2^16 buckets would reserve 512 KiB first,
+// and a stats reply carries six histograms).
+TEST(WireTest, HistogramCountPastThePayloadIsDataLossBeforeAllocating) {
+  // A view with empty histograms ends in the last stage histogram's
+  // count; claim 2^16 buckets there, with no bucket bytes after it.
+  std::string bytes = StatsBytes(ServerStats::View{});
+  BinaryWriter count;
+  count.WriteU64(uint64_t{1} << 16);
+  std::string claimed = std::move(count).TakeBuffer();
+  bytes.replace(bytes.size() - claimed.size(), claimed.size(), claimed);
+  BinaryReader r(bytes);
+  Result<ServerStats::View> back = net::DeserializeStatsView(&r);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(back.status().message().find("exceeds the payload"),
+            std::string::npos)
+      << back.status().ToString();
+}
+
 TEST(WireTest, HistogramMergeValidatesBucketCompatibility) {
   std::vector<uint64_t> dst = {1, 2, 3};
   std::vector<uint64_t> src = {10, 20, 30};
@@ -787,6 +830,49 @@ TEST(RemoteFleetTest, RemoteScoringBitwiseEqualsInProcess) {
   EXPECT_EQ(stats.num_shards, 2u);
   EXPECT_EQ(stats.completed, 64u);
   EXPECT_EQ(stats.min_snapshot_version, stats.max_snapshot_version);
+}
+
+TEST(RemoteFleetTest, StatsEqualTheFoldOfEveryDaemonsView) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(43, true);
+  ASSERT_NE(snapshot, nullptr);
+  TestFleet tf = StartFleet(snapshot, 2);
+  ASSERT_NE(tf.fleet, nullptr);
+  // Hash-routed frames of several sizes, so the daemons' batch-size and
+  // latency histograms differ.
+  size_t total = 0;
+  for (size_t rows : {64, 17, 5, 33}) {
+    Matrix requests = MakeRequests(rows, 200 + rows);
+    Result<std::vector<WireRowOutcome>> got =
+        tf.fleet->ScoreBatch(Flatten(requests), requests.cols());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    total += rows;
+  }
+  ServerStats::View folded;
+  for (const auto& daemon : tf.daemons) {
+    ServerStats::View own = daemon->server()->stats();
+    EXPECT_GT(own.completed, 0u);
+    folded.MergeFrom(own);
+  }
+  FleetStatsView stats = tf.fleet->stats();
+  EXPECT_EQ(stats.completed, total);
+  EXPECT_EQ(stats.submitted, folded.submitted);
+  EXPECT_EQ(stats.completed, folded.completed);
+  EXPECT_EQ(stats.shed_admission, folded.shed_admission);
+  EXPECT_EQ(stats.shed_deadline, folded.shed_deadline);
+  EXPECT_EQ(stats.invalid, folded.invalid);
+  EXPECT_EQ(stats.batches, folded.batches);
+  EXPECT_EQ(stats.snapshot_swaps, folded.snapshot_swaps);
+  EXPECT_EQ(stats.density_checked, folded.density_checked);
+  EXPECT_EQ(stats.density_outliers, folded.density_outliers);
+  EXPECT_EQ(stats.audit_windows, folded.audit_windows);
+  EXPECT_EQ(stats.audit_breaches, folded.audit_breaches);
+  EXPECT_EQ(stats.audit_alerts_raised, folded.audit_alerts_raised);
+  EXPECT_EQ(stats.trace_sampled, folded.trace_sampled);
+  EXPECT_EQ(stats.trace_append_failures, folded.trace_append_failures);
+  EXPECT_EQ(stats.batch_size_hist, folded.batch_size_hist);
+  EXPECT_EQ(stats.latency_hist, folded.latency_hist);
+  // Every remaining field too: the wire bytes of both views agree.
+  EXPECT_EQ(StatsBytes(stats), StatsBytes(folded));
 }
 
 TEST(ShardDaemonTest, MetricsScrapeExposesServerAndTraceFamilies) {

@@ -18,7 +18,9 @@
 
 #include "core/deployment.h"
 #include "serve/admission.h"
+#include "serve/audit/auditor.h"
 #include "serve/micro_batcher.h"
+#include "serve/net/wire.h"
 #include "serve/request_queue.h"
 #include "serve/server.h"
 #include "serve/server_stats.h"
@@ -475,6 +477,201 @@ TEST(ServerStatsTest, DensityOutlierRateEwma) {
   EXPECT_EQ(view.density_checked, 20u);
   EXPECT_EQ(view.density_outliers, 10u);
   EXPECT_DOUBLE_EQ(view.ewma_outlier_rate, 0.2);
+}
+
+// ------------------------------------------------------------ stats merge
+
+/// One server's stats, driven with its own batch sizes, batch-latency
+/// and outlier EWMAs, density checks, stage samples and audit folds.
+struct StatsRecipe {
+  std::vector<size_t> batch_sizes;
+  int batch_latency_us = 100;
+  uint64_t checked = 0;
+  uint64_t outliers = 0;
+  int completions = 0;
+  int latency_us = 100;
+  bool audit_metrics = false;
+  double di_star = 1.0;
+  double spd = 0.0;
+  bool alert_active = false;
+};
+
+ServerStats::View DriveStats(const StatsRecipe& recipe) {
+  ServerStats stats;
+  for (size_t rows : recipe.batch_sizes) {
+    stats.RecordSubmitted(rows);
+    stats.RecordBatch(rows, std::chrono::microseconds(recipe.batch_latency_us));
+  }
+  stats.RecordDensity(recipe.checked, recipe.outliers);
+  for (int i = 0; i < recipe.completions; ++i) {
+    stats.RecordCompletion(std::chrono::microseconds(recipe.latency_us + i));
+    stats.RecordStageLatency(static_cast<size_t>(i) % ServerStats::kServeStages,
+                             std::chrono::microseconds(recipe.latency_us / 2));
+  }
+  AuditFoldOutcome fold;
+  fold.windows = 2;
+  fold.breaches = recipe.alert_active ? 1 : 0;
+  fold.alerts_raised = recipe.alert_active ? 1 : 0;
+  fold.alert_active = recipe.alert_active;
+  fold.has_metrics = recipe.audit_metrics;
+  fold.di_star = recipe.di_star;
+  fold.spd = recipe.spd;
+  stats.RecordAuditFold(fold);
+  stats.RecordTraceSampled(static_cast<uint64_t>(recipe.completions) / 4);
+  return stats.Snapshot();
+}
+
+std::string StatsBytes(const ServerStats::View& view) {
+  BinaryWriter w;
+  net::SerializeStatsView(view, &w);
+  return std::move(w).TakeBuffer();
+}
+
+std::vector<ServerStats::View> ThreeViews() {
+  StatsRecipe a;
+  a.batch_sizes = {3, 40};
+  a.batch_latency_us = 900;
+  a.checked = 20;
+  a.outliers = 2;
+  a.completions = 43;
+  a.latency_us = 150;
+  a.audit_metrics = true;
+  a.di_star = 0.7;
+  a.spd = 0.1;
+  StatsRecipe b;
+  b.batch_sizes = {64, 64, 7};
+  b.batch_latency_us = 300;
+  b.checked = 30;
+  b.outliers = 9;
+  b.completions = 135;
+  b.latency_us = 4000;
+  b.audit_metrics = true;
+  b.di_star = 0.55;
+  b.spd = 0.2;
+  b.alert_active = true;
+  StatsRecipe c;
+  c.batch_sizes = {1, 1, 1, 1, 1};
+  c.batch_latency_us = 20;
+  c.completions = 5;
+  c.latency_us = 40;
+  return {DriveStats(a), DriveStats(b), DriveStats(c)};
+}
+
+TEST(ServerStatsTest, MergeFromGivesTheSameViewInEveryOrder) {
+  std::vector<ServerStats::View> views = ThreeViews();
+  std::vector<size_t> order = {0, 1, 2};
+  std::string first;
+  int orders = 0;
+  do {
+    ServerStats::View merged;
+    for (size_t i : order) merged.MergeFrom(views[i]);
+    std::string bytes = StatsBytes(merged);
+    if (orders++ == 0) first = bytes;
+    EXPECT_EQ(bytes, first) << "order " << order[0] << order[1] << order[2];
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 6);
+}
+
+TEST(ServerStatsTest, MergeFromRulesPerField) {
+  std::vector<ServerStats::View> views = ThreeViews();
+  ServerStats::View merged;
+  for (const ServerStats::View& v : views) merged.MergeFrom(v);
+
+  EXPECT_EQ(merged.batches, 10u);
+  EXPECT_EQ(merged.submitted, 183u);
+  EXPECT_EQ(merged.completed, 183u);
+  EXPECT_EQ(merged.density_checked, 50u);
+  EXPECT_EQ(merged.audit_windows, 6u);
+  // batch_size_hist adds bucket-wise and counts batches.
+  ASSERT_EQ(merged.batch_size_hist.size(), ServerStats::kBatchBuckets);
+  uint64_t hist_batches = 0;
+  for (size_t b = 0; b < ServerStats::kBatchBuckets; ++b) {
+    EXPECT_EQ(merged.batch_size_hist[b], views[0].batch_size_hist[b] +
+                                             views[1].batch_size_hist[b] +
+                                             views[2].batch_size_hist[b])
+        << "bucket " << b;
+    hist_batches += merged.batch_size_hist[b];
+  }
+  EXPECT_EQ(hist_batches, merged.batches);
+  EXPECT_EQ(merged.batch_size_hist[0], 5u);  // five 1-row batches
+  EXPECT_EQ(merged.batch_size_hist[6], 2u);  // two 64-row batches
+  // The mean is Σ rows / Σ batches, not an average of means.
+  EXPECT_EQ(merged.mean_batch_size, 183.0 / 10.0);
+  // Each view's rows are recovered as an integer: on these counts a sum
+  // of mean × batches in doubles rounds the merged mean differently.
+  ServerStats::View many_a;
+  many_a.batches = 606263;
+  many_a.mean_batch_size = 27020290.0 / 606263.0;
+  ServerStats::View many_b;
+  many_b.batches = 678594;
+  many_b.mean_batch_size = 12110535.0 / 678594.0;
+  ServerStats::View many;
+  many.MergeFrom(many_a);
+  many.MergeFrom(many_b);
+  EXPECT_EQ(many.mean_batch_size,
+            (27020290.0 + 12110535.0) / (606263.0 + 678594.0));
+  // Both EWMAs keep the worst server's value.
+  EXPECT_EQ(merged.ewma_batch_latency_us, views[0].ewma_batch_latency_us);
+  EXPECT_DOUBLE_EQ(merged.ewma_batch_latency_us, 900.0);
+  EXPECT_EQ(merged.ewma_outlier_rate, views[1].ewma_outlier_rate);
+  EXPECT_DOUBLE_EQ(merged.ewma_outlier_rate, 0.3);
+  // DI*/SPD come from the lowest-DI* view; the alert ORs in.
+  EXPECT_TRUE(merged.audit_has_metrics);
+  EXPECT_EQ(merged.audit_last_di_star, 0.55);
+  EXPECT_EQ(merged.audit_last_spd, 0.2);
+  EXPECT_TRUE(merged.audit_alert_active);
+  // Quantiles re-derive from the merged histograms.
+  EXPECT_EQ(merged.p99_latency_us,
+            ServerStats::PercentileUsFromHist(merged.latency_hist, 0.99));
+  EXPECT_GT(merged.p99_latency_us, views[0].p99_latency_us);
+  for (size_t s = 0; s < ServerStats::kServeStages; ++s) {
+    EXPECT_EQ(merged.stage_p99_us[s],
+              ServerStats::PercentileUsFromHist(merged.stage_hist[s], 0.99));
+  }
+
+  // Equal DI*: the pair with the higher (less fair) SPD wins, either way
+  // round.
+  ServerStats::View low_spd = views[1];
+  low_spd.audit_last_spd = 0.05;
+  ServerStats::View left = low_spd;
+  left.MergeFrom(views[1]);
+  ServerStats::View right = views[1];
+  right.MergeFrom(low_spd);
+  EXPECT_EQ(left.audit_last_spd, 0.2);
+  EXPECT_EQ(right.audit_last_spd, 0.2);
+}
+
+TEST(ServerStatsTest, MergeFromSkipsAHistogramOfAnotherLength) {
+  std::vector<ServerStats::View> views = ThreeViews();
+  ServerStats::View odd = views[0];
+  odd.latency_hist = {1, 2, 3, 4};
+
+  ServerStats::View merged;
+  merged.MergeFrom(odd);
+  merged.MergeFrom(views[1]);
+  merged.MergeFrom(views[2]);
+  ASSERT_EQ(merged.latency_hist.size(), ServerStats::kLatencyBuckets);
+  for (size_t b = 0; b < ServerStats::kLatencyBuckets; ++b) {
+    EXPECT_EQ(merged.latency_hist[b],
+              views[1].latency_hist[b] + views[2].latency_hist[b])
+        << "bucket " << b;
+  }
+  // The odd view's counters and other histograms still merge.
+  EXPECT_EQ(merged.completed,
+            odd.completed + views[1].completed + views[2].completed);
+  EXPECT_EQ(merged.batches, 10u);
+  EXPECT_EQ(merged.batch_size_hist[5], 1u);  // odd's 40-row batch
+
+  // Skipped wherever it comes in the fold, including as the accumulator.
+  ServerStats::View last;
+  last.MergeFrom(views[1]);
+  last.MergeFrom(views[2]);
+  last.MergeFrom(odd);
+  EXPECT_EQ(StatsBytes(last), StatsBytes(merged));
+  ServerStats::View seeded = odd;
+  seeded.MergeFrom(views[1]);
+  seeded.MergeFrom(views[2]);
+  EXPECT_EQ(StatsBytes(seeded), StatsBytes(merged));
 }
 
 // -------------------------------------------------------- monitor modes

@@ -1,6 +1,6 @@
 // Tests for src/serve/trace/: trace identity minting, span slots, the
 // chained JSONL trace log (including size rotation shared with the
-// audit log), the metrics registry, and the traced scoring pipeline.
+// audit log), the metrics exposition, and the traced scoring pipeline.
 //
 // The load-bearing contract is determinism of the sampled set: a row is
 // sampled by its content hash alone, so the same rows trace regardless
@@ -18,12 +18,14 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/artifacts.h"
 #include "core/deployment.h"
 #include "serve/audit/audit_log.h"
+#include "serve/audit/auditor.h"
 #include "serve/server.h"
 #include "serve/server_stats.h"
 #include "serve/snapshot.h"
@@ -359,22 +361,16 @@ TEST(TraceLogTest, MidSegmentCorruptionIsDataLoss) {
   EXPECT_EQ(report.status().code(), StatusCode::kDataLoss);
 }
 
-// ----------------------------------------------------- metrics registry
+// ----------------------------------------------------- metrics exposition
 
-TEST(MetricsRegistryTest, OwnedInstrumentsAndCollectorsRender) {
-  MetricsRegistry registry;
-  MetricsRegistry::Counter* hits =
-      registry.AddCounter("test_hits_total", "Cache hits");
-  MetricsRegistry::Gauge* depth = registry.AddGauge("test_depth", "Depth");
-  hits->Increment();
-  hits->Increment(41);
-  depth->Set(2.5);
-  registry.AddCollector([](MetricsEmitter* out) {
-    out->Counter("test_rows_total", "Rows", 7, "shard=\"0\"");
-    out->Counter("test_rows_total", "Rows", 9, "shard=\"1\"");
-  });
+TEST(MetricsEmitterTest, HelpAndTypeOncePerFamilyWithLabelledSamples) {
+  std::string text;
+  MetricsEmitter out(&text);
+  out.Counter("test_hits_total", "Cache hits", 42);
+  out.Gauge("test_depth", "Depth", 2.5);
+  out.Counter("test_rows_total", "Rows", 7, "shard=\"0\"");
+  out.Counter("test_rows_total", "Rows", 9, "shard=\"1\"");
 
-  std::string text = registry.RenderText();
   EXPECT_NE(text.find("# HELP test_hits_total Cache hits"), std::string::npos)
       << text;
   EXPECT_NE(text.find("# TYPE test_hits_total counter"), std::string::npos);
@@ -392,26 +388,75 @@ TEST(MetricsRegistryTest, OwnedInstrumentsAndCollectorsRender) {
             std::string::npos);
 }
 
-TEST(MetricsRegistryTest, StatsViewFamiliesSumAcrossViews) {
+/// Every counter family's unlabelled sample in an exposition text.
+std::map<std::string, uint64_t> CounterFamilies(const std::string& text) {
+  std::map<std::string, uint64_t> families;
+  std::vector<std::string> counters;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream words(line);
+    std::string first, second, third, fourth;
+    words >> first >> second >> third >> fourth;
+    if (first == "#" && second == "TYPE" && fourth == "counter") {
+      counters.push_back(third);
+    } else if (std::find(counters.begin(), counters.end(), first) !=
+               counters.end()) {
+      families[first] = std::stoull(second);
+    }
+  }
+  return families;
+}
+
+TEST(MetricsEmitterTest, StatsViewFamiliesSumAcrossViews) {
   // The router-scrape == sum-of-daemon-scrapes property in miniature:
-  // rendering a merged view equals summing the individual renders'
-  // counter samples, because both go through EmitStatsViewMetrics.
+  // rendering a MergeFrom-folded view gives, for every counter family,
+  // the sum of the individual renders' samples.
   ServerStats a_stats;
   ServerStats b_stats;
-  for (int i = 0; i < 3; ++i) a_stats.RecordTraceSampled();
-  for (int i = 0; i < 2; ++i) b_stats.RecordTraceSampled();
+  auto drive = [](ServerStats* stats, uint64_t k) {
+    stats->RecordSubmitted(10 * k);
+    stats->RecordAdmissionShed(k);
+    stats->RecordDeadlineShed(k + 1);
+    stats->RecordInvalidRequest(k + 2);
+    for (uint64_t i = 0; i < k; ++i) stats->RecordSnapshotSwap();
+    for (uint64_t i = 0; i < 5 * k; ++i) {
+      stats->RecordCompletion(std::chrono::microseconds(50 * (i + 1)));
+    }
+    for (uint64_t i = 0; i <= k; ++i) stats->RecordBatch(3 * k + i);
+    stats->RecordDensity(8 * k, k);
+    AuditFoldOutcome fold;
+    fold.windows = static_cast<uint32_t>(2 * k);
+    fold.breaches = static_cast<uint32_t>(k);
+    fold.alerts_raised = static_cast<uint32_t>(k);
+    stats->RecordAuditFold(fold);
+    stats->RecordTraceSampled(3 * k);
+    for (uint64_t i = 0; i < k; ++i) stats->RecordTraceAppendFailure();
+  };
+  drive(&a_stats, 1);
+  drive(&b_stats, 3);
   ServerStats::View a = a_stats.Snapshot();
   ServerStats::View b = b_stats.Snapshot();
+  ServerStats::View merged;
+  merged.MergeFrom(a);
+  merged.MergeFrom(b);
 
-  ServerStats::View merged = a;
-  merged.trace_sampled += b.trace_sampled;
-
-  std::string merged_text;
-  MetricsEmitter merged_emitter(&merged_text);
-  EmitStatsViewMetrics(merged, &merged_emitter);
-  EXPECT_NE(merged_text.find("fairdrift_trace_sampled_total 5\n"),
-            std::string::npos)
-      << merged_text;
+  auto render = [](const ServerStats::View& view) {
+    std::string text;
+    MetricsEmitter emitter(&text);
+    EmitStatsViewMetrics(view, &emitter);
+    return CounterFamilies(text);
+  };
+  std::map<std::string, uint64_t> a_families = render(a);
+  std::map<std::string, uint64_t> b_families = render(b);
+  std::map<std::string, uint64_t> merged_families = render(merged);
+  ASSERT_EQ(merged_families.size(), 14u);
+  for (const auto& [family, value] : merged_families) {
+    // Both views contribute, so a max or last-writer rule would show.
+    EXPECT_GT(a_families[family], 0u) << family;
+    EXPECT_EQ(value, a_families[family] + b_families[family]) << family;
+  }
+  EXPECT_EQ(merged_families["fairdrift_trace_sampled_total"], 12u);
 }
 
 // ------------------------------------------------- percentile edge cases
