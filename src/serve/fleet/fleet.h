@@ -126,9 +126,11 @@ struct FleetOptions {
   /// `shard.pool` is honored only when `workers_per_shard` is 0.
   ServerOptions shard;
   /// When non-zero, each shard gets its own private ThreadPool with this
-  /// many workers (owned by the fleet) — full isolation, no cross-shard
-  /// contention on one task queue. 0 = all shards share `shard.pool`
-  /// (the global pool when that is null).
+  /// many workers (owned by the fleet) for its full batches — full
+  /// isolation, no cross-shard contention on one task queue. 0 = all
+  /// shards share `shard.pool` (the global pool when that is null).
+  /// Batches under the cap score on each shard's own dispatch thread
+  /// either way.
   size_t workers_per_shard = 0;
   /// Fairness audit tier (serve/audit/). When audit.enabled the fleet
   /// owns a FleetAuditor and wires one ShardAuditor into each shard

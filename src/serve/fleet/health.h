@@ -1,9 +1,9 @@
 // HealthMonitor: shard heartbeat, ejection, restart, and readmission.
 //
-// A wedged batch worker is invisible to the router: the shard's queue
-// stays open, requests keep landing on it, and every one of them stalls
-// behind the stuck batch. The monitor turns "wedged" into an observable,
-// recoverable state:
+// A wedged batch (on the shard's dispatch thread or a pool worker) is
+// invisible to the router: the shard's queue stays open, requests keep
+// landing on it, and every one of them stalls behind the stuck batch.
+// The monitor turns "wedged" into an observable, recoverable state:
 //
 //   kHealthy --stalled probe--> kDegraded --K stalled probes--> kDead
 //      ^                                                          |

@@ -4,14 +4,17 @@
 // wake-ups, task dispatch, per-call kernel overhead) dwarf the per-row
 // cost of the batched kernels the library already has. The batcher
 // amortizes them: the dispatch loop pops whole units up to
-// `max_batch_size` rows at once and hands them to one
-// ModelSnapshot::ScoreBatch call. Only a unit of one waits: after a
-// single-row first unit the dispatcher waits at most `max_batch_delay`
-// for stragglers, while a multi-row unit (a wire frame) is dispatched at
-// once — it already spreads the hand-off over its own rows, and its
-// rows all arrived together, so waiting would only idle out the window.
-// A unit longer than `max_batch_size` reaches the queue as pieces of at
-// most that many rows, so no batch exceeds the cap.
+// `max_batch_size` rows at once into one ModelSnapshot::ScoreBatch call.
+// The batch's size then decides where it is scored: under the cap on the
+// dispatch thread itself, full on a pool worker, because only a full
+// batch says more rows are queued (server.h). Only a unit of one waits:
+// after a single-row first unit the dispatcher waits at most
+// `max_batch_delay` for stragglers, while a multi-row unit (a wire
+// frame) is dispatched at once — it already spreads the hand-off over
+// its own rows, and its rows all arrived together, so waiting would only
+// idle out the window. A unit longer than `max_batch_size` reaches the
+// queue as pieces of at most that many rows, so no batch exceeds the
+// cap.
 //
 // Batch *composition* is timing-dependent by design; per-row results are
 // not (the snapshot's determinism contract), so coalescing never changes

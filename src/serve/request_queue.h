@@ -87,15 +87,15 @@ class RequestQueue {
   /// admitted row is visible in size() or in checked_out() — the
   /// conservation invariant the fleet's drain barrier
   /// (ScoringServer::Quiesce) relies on to certify that nothing is
-  /// hidden inside the micro-batcher's coalescing window or the
-  /// dispatcher's hand-off to a batch worker.
+  /// hidden inside the micro-batcher's coalescing window, a batch the
+  /// dispatcher is scoring, or its hand-off to a batch worker.
   size_t checked_out() const {
     return checked_out_.load(std::memory_order_acquire);
   }
 
   /// Consumer acknowledgment: `n` popped rows have been fully
-  /// processed (their rows resolved). Called by the batch workers after
-  /// scoring.
+  /// processed (their rows resolved). Called after scoring by the
+  /// thread that scored the batch (the dispatcher or a batch worker).
   void AckCheckedOut(size_t n) {
     checked_out_.fetch_sub(n, std::memory_order_acq_rel);
   }

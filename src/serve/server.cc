@@ -91,8 +91,8 @@ Result<ScoreTicket> ScoringServer::Submit(
     return admit;
   }
   // Width check against the current snapshot: cheap, catches client bugs
-  // synchronously. Content (category codes) is validated per row by the
-  // batch worker against the snapshot that actually scores it.
+  // synchronously. Content (category codes) is validated per row by
+  // ProcessBatch against the snapshot that actually scores it.
   size_t expected = CurrentSnapshot()->num_features();
   if (width != expected) {
     stats_.RecordInvalidRequest(count);
@@ -243,15 +243,29 @@ void ScoringServer::ReleaseInflightSlot() {
 }
 
 void ScoringServer::DispatchLoop() {
+  // Scores and resolves a batch, then releases the queue's checked-out
+  // claim before the inflight slot, so a drain barrier that wakes on the
+  // slot sees the full acknowledgment.
+  auto score = [this](std::vector<PendingRequest>* batch, size_t rows,
+                      ThreadPool* pool) {
+    ProcessBatch(batch, pool);
+    queue_.AckCheckedOut(rows);
+    ReleaseInflightSlot();
+  };
+  // A batch under the cap is scored right here, its loops inline on a
+  // 0-worker pool, out of a vector this thread keeps; a full batch goes
+  // to pool_ (the architecture note in server.h says why).
+  ThreadPool inline_pool(0);
+  const size_t cap = batcher_.options().max_batch_size;
+  std::vector<PendingRequest> owned;
   for (;;) {
-    auto batch = std::make_shared<std::vector<PendingRequest>>();
-    const size_t rows = batcher_.NextBatch(batch.get());
+    const size_t rows = batcher_.NextBatch(&owned);
     if (rows == 0) return;  // closed and drained
     if (options_.trace.enabled) {
       // One clock read covers the batch: every member left the queue in
       // the same NextBatch call.
       uint64_t now_ns = MonotonicNowNs();
-      for (PendingRequest& piece : *batch) {
+      for (PendingRequest& piece : owned) {
         for (size_t i = piece.begin; i < piece.begin + piece.count; ++i) {
           TraceSpanSlot& slot = piece.ticket->row(i).trace;
           if (slot.sampled()) slot.StampAt(TraceStage::kDequeue, now_ns);
@@ -260,15 +274,17 @@ void ScoringServer::DispatchLoop() {
     }
     // Bound the scoring work in flight before taking on another batch:
     // the dispatcher is the only back-pressure between the queue and the
-    // pool.
+    // pool. A batch scored here holds a slot too, so inflight_batches()
+    // and Quiesce see it exactly like one on a worker.
     AcquireInflightSlot();
-    pool_->Submit([this, batch, rows] {
-      ProcessBatch(batch.get());
-      // Rows are resolved; release the queue's checked-out claim before
-      // the inflight slot so a drain barrier that wakes on the slot sees
-      // the full acknowledgment.
-      queue_.AckCheckedOut(rows);
-      ReleaseInflightSlot();
+    if (rows < cap) {
+      score(&owned, rows, &inline_pool);
+      continue;
+    }
+    auto batch = std::make_shared<std::vector<PendingRequest>>(
+        std::move(owned));
+    pool_->Submit([this, score, batch, rows] {
+      score(batch.get(), rows, pool_);
     });
   }
 }
@@ -290,10 +306,12 @@ void ForEachLiveRow(std::vector<PendingRequest>* batch, Fn&& fn) {
 
 }  // namespace
 
-void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch) {
-  // Fault site: a kWedge rule blocks this batch worker inside Hit()
-  // until the rule is cleared — the wedged-shard scenario the health
-  // monitor must detect (pending work, no dispatcher progress).
+void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch,
+                                 ThreadPool* pool) {
+  // Fault site: a kWedge rule blocks the thread scoring this batch (the
+  // dispatcher for a batch under the cap, else a pool worker) inside
+  // Hit() until the rule is cleared — the wedged-shard scenario the
+  // health monitor must detect (pending work, no dispatcher progress).
   (void)FAULT_POINT_ARG("server.wedge", options_.fault_tag);
   // One immutable snapshot per batch: rows in this batch all score the
   // same model state even if a swap lands mid-batch.
@@ -331,7 +349,8 @@ void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch) {
       }
     }
   }
-  const bool scored = live != 0 && ScoreLiveRows(batch, *snapshot, live, now);
+  const bool scored =
+      live != 0 && ScoreLiveRows(batch, *snapshot, live, now, pool);
   // One completion per unit: a piece resolves all its rows at once, and
   // the unit completes with its last piece.
   for (PendingRequest& piece : *batch) piece.ticket->Resolve(piece.count);
@@ -351,7 +370,8 @@ void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch) {
 
 bool ScoringServer::ScoreLiveRows(std::vector<PendingRequest>* batch,
                                   const ModelSnapshot& snapshot, size_t live,
-                                  std::chrono::steady_clock::time_point start) {
+                                  std::chrono::steady_clock::time_point start,
+                                  ThreadPool* pool) {
   using serve_internal::RowSlot;
   const size_t width = snapshot.num_features();
   // Score out of a recycled per-worker scratch: the staging matrix, the
@@ -376,8 +396,8 @@ bool ScoringServer::ScoreLiveRows(std::vector<PendingRequest>* batch,
   Status scored =
       options_.monitor_override.has_value()
           ? snapshot.ScoreBatchInto(scratch->rows, scratch.get(),
-                                    *options_.monitor_override, pool_)
-          : snapshot.ScoreBatchInto(scratch->rows, scratch.get(), pool_);
+                                    *options_.monitor_override, pool)
+          : snapshot.ScoreBatchInto(scratch->rows, scratch.get(), pool);
   if (!scored.ok()) {
     ReleaseScratch(std::move(scratch));
     ForEachLiveRow(batch, [&scored](PendingRequest&, RowSlot& slot, size_t) {

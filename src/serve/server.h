@@ -4,10 +4,21 @@
 //
 //   client threads --Submit(unit)--> [AdmissionController] -->
 //        [RequestQueue] --> dispatch thread --[MicroBatcher]--> batch
-//        --ThreadPool::Submit--> batch worker:
-//              cull expired deadlines, validate rows,
-//              ModelSnapshot::ScoreBatch (one immutable snapshot per
-//              batch), resolve rows, record ServerStats
+//        |-- fewer rows than max_batch_size: scored on the dispatch
+//        |   thread itself, its loops inline (a 0-worker pool)
+//        '-- a full batch --ThreadPool::Submit--> batch worker
+//   either way, one ProcessBatch: cull expired deadlines, validate rows,
+//   ModelSnapshot::ScoreBatch (one immutable snapshot per batch),
+//   resolve rows, record ServerStats
+//
+// A batch stops short of the cap when the queue ran dry (or its next
+// unit did not fit), so a worker would have little to overlap with, and
+// the hand-off costs more than scoring a few rows. Scoring it inline
+// also keeps serving out of the pool's FIFO, where it would queue behind
+// a Fit's parallel loops. A full batch is the sign that more rows are
+// queued: it goes to the pool while the dispatcher coalesces the next
+// one. Both kinds hold an inflight slot until their rows resolve, so
+// inflight_batches(), Quiesce and Stop see them alike.
 //
 // The unit of admission is a run of 1..N contiguous rows with one
 // ticket and one completion: a single-row Submit is a unit of one, a
@@ -79,11 +90,14 @@ struct ServerTraceOptions {
 struct ServerOptions {
   BatchingOptions batching;
   AdmissionOptions admission;
-  /// Batches scored concurrently (the dispatcher stops coalescing new
-  /// batches while this many are in flight). 0 = scoring-pool workers + 1.
+  /// Batches scored concurrently, counting one the dispatch thread is
+  /// scoring itself (the dispatcher stops coalescing new batches while
+  /// this many are in flight). 0 = scoring-pool workers + 1.
   size_t max_inflight_batches = 0;
-  /// Pool the batch workers run on (global pool when null). A 0-worker
-  /// pool degrades to scoring on the dispatch thread — still correct.
+  /// Pool that full batches (max_batch_size rows) are scored on (global
+  /// pool when null); smaller batches are scored on the dispatch thread
+  /// whatever the pool. A 0-worker pool scores every batch on the
+  /// dispatch thread. Scores are bitwise identical either way.
   ThreadPool* pool = nullptr;
   /// When set, batches score the density monitor under this policy
   /// instead of the snapshot's own MonitorSpec — a per-deployment knob
@@ -131,7 +145,7 @@ class ScoringServer {
   /// admission policy's default; no default = no deadline). Fails fast
   /// with the typed admission status (Unavailable on overload/shutdown,
   /// DeadlineExceeded, InvalidArgument on a width mismatch); otherwise
-  /// the returned ticket completes when a batch worker scores the row.
+  /// the returned ticket completes when its batch is scored.
   Result<ScoreTicket> Submit(
       std::vector<double> row,
       std::chrono::nanoseconds deadline_after = std::chrono::nanoseconds{0});
@@ -191,17 +205,19 @@ class ScoringServer {
   /// fleet router's load signal, not a synchronization primitive).
   size_t queue_depth() const { return queue_.size(); }
 
-  /// Batches currently being scored by pool workers (racy snapshot).
+  /// Batches currently being scored, by the dispatch thread or by pool
+  /// workers (racy snapshot).
   size_t inflight_batches() const;
 
   /// Blocks until this server is provably drained: nothing queued
   /// (unless `require_empty_queue` is false), no row checked out of the
   /// queue (the pop-to-completion handshake — covers rows the
-  /// dispatcher popped but is still coalescing or handing to a worker),
-  /// and no batch in flight. The fleet's rolling update uses this as
-  /// its per-shard drain barrier — the router has already steered
-  /// traffic away, so the queue empties and the barrier certifies every
-  /// previously admitted request scored against the pre-swap snapshot.
+  /// dispatcher popped but is still coalescing, scoring or handing to a
+  /// worker), and no batch in flight. The fleet's rolling update uses
+  /// this as its per-shard drain barrier — the router has already
+  /// steered traffic away, so the queue empties and the barrier
+  /// certifies every previously admitted request scored against the
+  /// pre-swap snapshot.
   /// Returns DeadlineExceeded when `timeout` elapses first (traffic
   /// kept arriving, or a batch is stuck). Does NOT close admission; new
   /// submits keep working throughout.
@@ -218,7 +234,10 @@ class ScoringServer {
                 const ServerOptions& options);
 
   void DispatchLoop();
-  void ProcessBatch(std::vector<PendingRequest>* batch);
+  /// Culls, validates, scores and resolves one batch; `pool` runs the
+  /// scoring loops (the 0-worker pool on the dispatch thread, pool_ on a
+  /// worker).
+  void ProcessBatch(std::vector<PendingRequest>* batch, ThreadPool* pool);
   /// Scores the batch's `live` rows (those whose slot holds no error)
   /// against `snapshot` in one call and writes each result into its
   /// slot, recording stats, the audit fold and trace stages first.
@@ -226,15 +245,16 @@ class ScoringServer {
   /// row's slot). `start` is when the batch began processing.
   bool ScoreLiveRows(std::vector<PendingRequest>* batch,
                      const ModelSnapshot& snapshot, size_t live,
-                     std::chrono::steady_clock::time_point start);
+                     std::chrono::steady_clock::time_point start,
+                     ThreadPool* pool);
   /// Appends `slot`'s record to the trace sink, counting (never
   /// propagating) failures.
   void AppendTraceRecord(const TraceSpanSlot& slot, uint64_t snapshot_version);
   void AcquireInflightSlot();
   void ReleaseInflightSlot();
 
-  /// Per-worker batch buffers, recycled across batches so a steady-state
-  /// worker re-encodes into the same matrices instead of rebuilding a
+  /// Batch buffers, recycled across batches so steady-state scoring
+  /// re-encodes into the same matrices instead of rebuilding a
   /// Dataset + encoded matrix per batch. The pool holds at most
   /// max_inflight_ scratches (one per concurrent batch).
   std::unique_ptr<ScoreScratch> AcquireScratch();

@@ -4,6 +4,8 @@
 #include <sys/types.h>
 
 #include <cstring>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "util/string_util.h"
@@ -23,6 +25,22 @@ std::string ChunkPath(const std::string& dir, const std::string& name) {
 
 std::string ManifestPath(const std::string& dir) {
   return dir + "/" + kSnapshotManifestFileName;
+}
+
+bool ChunkMatches(std::string_view bytes, const SnapshotChunkInfo& info) {
+  return bytes.size() == info.size &&
+         Fnv1aHash(bytes.data(), bytes.size()) == info.checksum;
+}
+
+// Joins verified chunk bytes, sized by the bytes themselves.
+template <typename Part>
+std::string Concatenate(const std::vector<Part>& parts) {
+  size_t total = 0;
+  for (const Part& part : parts) total += part.size();
+  std::string out;
+  out.reserve(total);
+  for (const Part& part : parts) out.append(part);
+  return out;
 }
 
 }  // namespace
@@ -103,6 +121,9 @@ Result<SnapshotManifest> DeserializeManifest(BinaryReader* r) {
     Result<uint64_t> checksum = r->ReadU64();
     if (!checksum.ok()) return checksum.status();
     info.checksum = checksum.value();
+    if (info.size > std::numeric_limits<uint64_t>::max() - total) {
+      return Status::DataLoss("snapshot manifest chunk sizes overflow");
+    }
     total += info.size;
     manifest.chunks.push_back(std::move(info));
   }
@@ -211,26 +232,20 @@ Result<std::shared_ptr<const ModelSnapshot>> LoadChunkedSnapshot(
     return Status::DataLoss("'" + dir +
                             "' snapshot manifest lacks the core chunks");
   }
-  std::string payload;
-  payload.reserve(manifest.payload_size);
+  // Every chunk is read and verified before the payload is sized: the
+  // manifest's sizes are claims until the chunk files back them.
+  std::vector<std::string> parts;
   bool truncated = false;
   std::string truncated_note;
   for (size_t i = 0; i < manifest.chunks.size(); ++i) {
     const SnapshotChunkInfo& info = manifest.chunks[i];
-    auto read_chunk = [&]() -> Status {
-      Result<std::string> bytes = ReadFileBytes(ChunkPath(dir, info.name));
-      if (!bytes.ok()) return bytes.status();
-      if (bytes.value().size() != info.size ||
-          Fnv1aHash(bytes.value().data(), bytes.value().size()) !=
-              info.checksum) {
-        return Status::DataLoss(StrFormat(
-            "chunk '%s' in '%s' failed its integrity check", info.name.c_str(),
-            dir.c_str()));
-      }
-      payload.append(bytes.value());
-      return Status::OK();
-    };
-    Status st = read_chunk();
+    Result<std::string> bytes = ReadFileBytes(ChunkPath(dir, info.name));
+    Status st = bytes.status();
+    if (st.ok() && !ChunkMatches(bytes.value(), info)) {
+      st = Status::DataLoss(StrFormat("chunk '%s' in '%s' failed its integrity "
+                                      "check",
+                                      info.name.c_str(), dir.c_str()));
+    }
     if (!st.ok()) {
       if (i < kNumCoreChunks || mode == SnapshotLoadMode::kStrict) return st;
       // An optional (monitor-tail) chunk is damaged: stop assembling here
@@ -240,7 +255,9 @@ Result<std::shared_ptr<const ModelSnapshot>> LoadChunkedSnapshot(
       truncated_note = st.message();
       break;
     }
+    parts.push_back(std::move(bytes).value());
   }
+  std::string payload = Concatenate(parts);
   if (!truncated &&
       Fnv1aHash(payload.data(), payload.size()) != manifest.payload_checksum) {
     return Status::DataLoss("'" + dir +
@@ -263,8 +280,10 @@ Result<std::shared_ptr<const ModelSnapshot>> LoadChunkedSnapshot(
 Result<std::string> AssemblePayload(
     const SnapshotManifest& manifest,
     const std::vector<SnapshotPayloadChunk>& chunks) {
-  std::string payload;
-  payload.reserve(manifest.payload_size);
+  // Every chunk is found and verified before the payload is sized: a
+  // pushed manifest's sizes are claims until the bytes in hand match.
+  std::vector<std::string_view> parts;
+  parts.reserve(manifest.chunks.size());
   for (const SnapshotChunkInfo& info : manifest.chunks) {
     const SnapshotPayloadChunk* found = nullptr;
     for (const SnapshotPayloadChunk& chunk : chunks) {
@@ -277,14 +296,14 @@ Result<std::string> AssemblePayload(
       return Status::FailedPrecondition(StrFormat(
           "snapshot assembly is missing chunk '%s'", info.name.c_str()));
     }
-    if (found->bytes.size() != info.size ||
-        Fnv1aHash(found->bytes.data(), found->bytes.size()) != info.checksum) {
+    if (!ChunkMatches(found->bytes, info)) {
       return Status::DataLoss(StrFormat(
           "chunk '%s' failed its integrity check during assembly",
           info.name.c_str()));
     }
-    payload.append(found->bytes);
+    parts.push_back(found->bytes);
   }
+  std::string payload = Concatenate(parts);
   if (Fnv1aHash(payload.data(), payload.size()) != manifest.payload_checksum) {
     return Status::DataLoss(
         "assembled snapshot payload failed its integrity check");

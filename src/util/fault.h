@@ -24,7 +24,8 @@
 // Known sites (grep for FAULT_POINT to enumerate):
 //   fleet.drain           ScoringServer::Quiesce stalls (arg = shard tag)
 //   fleet.swap            RollingUpdate's per-shard snapshot swap fails
-//   server.wedge          a batch worker wedges mid-batch (arg = shard tag)
+//   server.wedge          the thread scoring a batch (dispatcher or pool
+//                         worker) wedges mid-batch (arg = shard tag)
 //   queue.pop             RequestQueue::PopBatch delays (kDelay rules)
 //   watcher.load          SnapshotWatcher's verified load fails
 //   snapshot.load         LoadSnapshot sees a torn read

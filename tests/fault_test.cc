@@ -405,8 +405,9 @@ TEST(FaultHealthTest, WedgedShardEjectedSurvivorsServeThenReadmitted) {
   FleetOptions options;
   options.num_shards = 3;
   options.routing = FleetRoutingPolicy::kHashRow;
-  // Private single-worker pools: the wedged worker starves only its own
-  // shard, never the survivors.
+  // Single-row batches score on their shard's own dispatch thread, so the
+  // wedge below blocks shard 1's dispatcher and never the survivors.
+  // Private single-worker pools keep any full batch off shared workers.
   options.workers_per_shard = 1;
   Result<std::unique_ptr<ScoringFleet>> fleet =
       ScoringFleet::Create(snapshot, options);
@@ -439,7 +440,8 @@ TEST(FaultHealthTest, WedgedShardEjectedSurvivorsServeThenReadmitted) {
   health.auto_restart = true;
   ASSERT_TRUE(monitor.Start(fleet.value().get(), health).ok());
 
-  // Wedge shard 1's next batch; park its keys' requests behind the wedge.
+  // Wedge shard 1's next batch (on its dispatcher); park its keys'
+  // requests behind the wedge.
   FaultGuard guard(13);
   FaultRule wedge;
   wedge.action = FaultAction::kWedge;
@@ -454,7 +456,7 @@ TEST(FaultHealthTest, WedgedShardEjectedSurvivorsServeThenReadmitted) {
   }
   ASSERT_TRUE(WaitUntil([] {
     return FaultInjector::Global().fires("server.wedge") == 1;
-  })) << "shard 1's batch worker never wedged";
+  })) << "shard 1's dispatcher never wedged";
 
   // Probe 1: pending work, no progress -> kDegraded.
   monitor.ProbeOnce();
@@ -512,6 +514,72 @@ TEST(FaultHealthTest, WedgedShardEjectedSurvivorsServeThenReadmitted) {
   EXPECT_EQ(stats.ejections, 1u);
   EXPECT_EQ(stats.restarts, 1u);
   EXPECT_EQ(stats.readmissions, 1u);
+  monitor.Stop();
+}
+
+// A single-row batch scores on the dispatch thread, so a wedge there
+// stops the dispatcher itself. The heartbeat must still see it: the
+// wedged batch holds its inflight slot although its row has left the
+// queue, later rows queue behind it, and the shard reads as stalled.
+TEST(FaultHealthTest, WedgeOnTheDispatcherStaysVisible) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(24);
+  ASSERT_NE(snapshot, nullptr);
+  FleetOptions options;
+  options.num_shards = 1;
+  options.workers_per_shard = 1;
+  Result<std::unique_ptr<ScoringFleet>> fleet =
+      ScoringFleet::Create(snapshot, options);
+  ASSERT_TRUE(fleet.ok());
+  std::vector<std::vector<double>> rows = MakeRequests(2, 25);
+  Matrix m(rows.size(), rows[0].size());
+  for (size_t i = 0; i < rows.size(); ++i) m.SetRow(i, rows[i]);
+  Result<std::vector<ScoreResult>> reference = snapshot->ScoreBatch(m);
+  ASSERT_TRUE(reference.ok());
+
+  HealthMonitor monitor;
+  HealthMonitorOptions health;
+  health.probe_interval = std::chrono::hours(1);  // stepped by ProbeOnce
+  health.auto_restart = false;
+  ASSERT_TRUE(monitor.Start(fleet.value().get(), health).ok());
+
+  FaultGuard guard(27);
+  FaultRule wedge;
+  wedge.action = FaultAction::kWedge;
+  wedge.max_fires = 1;
+  FaultInjector::Global().SetRule("server.wedge", wedge);
+  Result<ScoreTicket> first = fleet.value()->Submit(rows[0]);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(WaitUntil([] {
+    return FaultInjector::Global().fires("server.wedge") == 1;
+  })) << "the dispatcher never wedged";
+  std::shared_ptr<ScoringServer> server = fleet.value()->shard_ref(0);
+  EXPECT_EQ(server->inflight_batches(), 1u);
+  EXPECT_EQ(server->queue_depth(), 0u);
+
+  monitor.ProbeOnce();
+  EXPECT_EQ(monitor.stats().shard_health[0], ShardHealth::kDegraded)
+      << "pending work without progress is a stall";
+
+  // The dispatcher is the wedged thread: a second row stays queued
+  // rather than being popped into a second batch.
+  Result<ScoreTicket> second = fleet.value()->Submit(rows[1]);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_FALSE(second.value().WaitFor(std::chrono::milliseconds(50)));
+  EXPECT_EQ(server->queue_depth(), 1u);
+  EXPECT_EQ(server->inflight_batches(), 1u);
+
+  FaultInjector::Global().ClearRule("server.wedge");
+  Result<ScoreResult> a = first.value().Wait();
+  Result<ScoreResult> b = second.value().Wait();
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(Bits(a.value().probability),
+            Bits(reference.value()[0].probability));
+  EXPECT_EQ(Bits(b.value().probability),
+            Bits(reference.value()[1].probability));
+  EXPECT_TRUE(server->Quiesce(std::chrono::seconds(20)).ok());
+  monitor.ProbeOnce();
+  EXPECT_EQ(monitor.stats().shard_health[0], ShardHealth::kHealthy);
   monitor.Stop();
 }
 

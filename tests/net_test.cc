@@ -773,6 +773,83 @@ TEST(ManifestTest, CorruptCoreChunkFailsEvenAllowPartial) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
 
+// A pushed or on-disk manifest's sizes are claims: each is checked
+// against the bytes in hand before anything is reserved, so 2^44 bytes
+// claimed for a chunk of a few hundred is kDataLoss, not a 16 TiB
+// allocation.
+constexpr uint64_t kForgedChunkSize = uint64_t{1} << 44;
+
+SnapshotManifest WithForgedFirstChunkSize(SnapshotManifest manifest) {
+  manifest.payload_size += kForgedChunkSize - manifest.chunks[0].size;
+  manifest.chunks[0].size = kForgedChunkSize;
+  return manifest;
+}
+
+TEST(ManifestTest, AssemblyChecksSizeClaimsBeforeReserving) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(41, true);
+  ASSERT_NE(snapshot, nullptr);
+  Result<ChunkedSnapshot> chunked = ChunkSnapshot(*snapshot);
+  ASSERT_TRUE(chunked.ok());
+  Result<std::string> payload = AssemblePayload(
+      WithForgedFirstChunkSize(chunked.value().manifest),
+      chunked.value().chunks);
+  ASSERT_FALSE(payload.ok());
+  EXPECT_EQ(payload.status().code(), StatusCode::kDataLoss)
+      << payload.status().ToString();
+}
+
+TEST(ManifestTest, LoadChecksSizeClaimsBeforeReserving) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(43, true);
+  ASSERT_NE(snapshot, nullptr);
+  std::string dir = FreshDir("net_chunked_forged_size");
+  ASSERT_TRUE(SaveChunkedSnapshot(*snapshot, dir).ok());
+  Result<SnapshotManifest> manifest = LoadSnapshotManifest(dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+
+  // Rewrite MANIFEST around the forged body, framed as SaveChunkedSnapshot
+  // frames it: magic, version, body size, body, FNV-1a(body).
+  BinaryWriter body;
+  SerializeManifest(WithForgedFirstChunkSize(manifest.value()), &body);
+  BinaryWriter file;
+  for (char c : std::string("FDSNMANI")) file.WriteU8(static_cast<uint8_t>(c));
+  file.WriteU32(kSnapshotManifestVersion);
+  file.WriteU64(body.buffer().size());
+  std::string bytes = file.buffer() + body.buffer();
+  BinaryWriter trailer;
+  trailer.WriteU64(Fnv1aHash(body.buffer().data(), body.buffer().size()));
+  bytes += trailer.buffer();
+  ASSERT_TRUE(WriteFileBytesAtomic(dir + "/" + kSnapshotManifestFileName,
+                                   bytes)
+                  .ok());
+  ASSERT_TRUE(LoadSnapshotManifest(dir).ok()) << "the forgery must parse";
+
+  for (SnapshotLoadMode mode :
+       {SnapshotLoadMode::kStrict, SnapshotLoadMode::kAllowPartial}) {
+    SnapshotLoadReport report;
+    Result<std::shared_ptr<const ModelSnapshot>> loaded =
+        LoadChunkedSnapshot(dir, mode, &report);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << loaded.status().ToString();
+  }
+}
+
+// Sizes 2^63 and 2^63 + 5 sum to 5 modulo 2^64, the claimed payload.
+TEST(ManifestTest, ChunkSizesThatWrapAreRejected) {
+  SnapshotManifest manifest;
+  manifest.snapshot_format_version = kSnapshotFormatVersion;
+  manifest.payload_size = 5;
+  manifest.chunks.push_back({"schema", uint64_t{1} << 63, 0});
+  manifest.chunks.push_back({"models", (uint64_t{1} << 63) + 5, 0});
+  BinaryWriter w;
+  SerializeManifest(manifest, &w);
+  BinaryReader r(w.buffer());
+  Result<SnapshotManifest> parsed = DeserializeManifest(&r);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss)
+      << parsed.status().ToString();
+}
+
 // --------------------------------------------- daemon + remote fleet, E2E
 
 struct TestFleet {
@@ -1060,6 +1137,43 @@ TEST(ShardDaemonTest, BadRowInAFrameFailsOnlyItsOwnOutcome) {
 }
 
 /// The stamp of `stage` in a span record's JSON, 0 when absent.
+// A forged push names the chunk the daemon already holds with a 2^44-byte
+// size and commits without sending it. The commit is kDataLoss instead
+// of an allocation failure that aborts the daemon, and the daemon keeps
+// serving its snapshot.
+TEST(ShardDaemonTest, ForgedPushSizeIsDataLossAndTheDaemonKeepsServing) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(75, true);
+  ASSERT_NE(snapshot, nullptr);
+  TestDaemon td = StartDaemon(snapshot);
+  ASSERT_NE(td.daemon, nullptr);
+  Result<ChunkedSnapshot> chunked = ChunkSnapshot(*snapshot);
+  ASSERT_TRUE(chunked.ok());
+  const SnapshotManifest& held = chunked.value().manifest;
+  size_t schema = held.FindChunk("schema");
+  ASSERT_NE(schema, static_cast<size_t>(-1));
+
+  SnapshotManifest forged;
+  forged.snapshot_format_version = held.snapshot_format_version;
+  forged.payload_size = held.chunks[schema].size;
+  forged.chunks.push_back(held.chunks[schema]);
+  forged = WithForgedFirstChunkSize(forged);
+  Result<std::vector<std::string>> needed = td.client->PushManifest(forged);
+  ASSERT_TRUE(needed.ok()) << needed.status().ToString();
+  Result<RemoteShardClient::CommitReply> commit = td.client->PushCommit();
+  ASSERT_FALSE(commit.ok());
+  EXPECT_EQ(commit.status().code(), StatusCode::kDataLoss)
+      << commit.status().ToString();
+  EXPECT_EQ(td.daemon->counters().push_commits, 0u);
+
+  Matrix requests = MakeRequests(16, 76);
+  Result<std::vector<ScoreResult>> want = snapshot->ScoreBatch(requests);
+  ASSERT_TRUE(want.ok());
+  Result<std::vector<WireRowOutcome>> got =
+      td.client->ScoreBatch(MakeWireRequest(requests));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectOutcomesMatch(got.value(), want.value());
+}
+
 uint64_t SpanStamp(const std::string& rec, TraceStage stage) {
   const std::string key = std::string("\"") + TraceStageName(stage) + "\":";
   size_t at = rec.find(key);

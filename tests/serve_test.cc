@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -1389,6 +1391,87 @@ TEST(ScoringServerTest, AccountingAndQuiesceHoldWithMultiRowUnitsInFlight) {
   EXPECT_EQ(stats.completed + stats.shed_deadline + stats.invalid,
             stats.submitted);
   EXPECT_GT(stats.completed, 0u);
+}
+
+// Blocks every task that waits on it until Open(); opening is
+// idempotent.
+class Latch {
+ public:
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// The dispatch rule, both ways, on a pool whose every worker is blocked:
+// a batch under the cap scores on the dispatch thread and completes
+// anyway; a full batch is handed to the pool and waits for a worker.
+TEST(ScoringServerTest, BatchUnderTheCapScoresOnTheDispatcherFullOneOnThePool) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(43);
+  ASSERT_NE(snapshot, nullptr);
+  std::vector<std::vector<double>> rows = MakeRequests(4, 44);
+  Result<std::vector<ScoreResult>> reference =
+      snapshot->ScoreBatch(ToMatrix(rows));
+  ASSERT_TRUE(reference.ok());
+
+  Latch latch;  // outlives the pool, whose workers wait on it
+  ThreadPool pool(2);
+  std::atomic<size_t> blocked{0};
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([&] {
+      blocked.fetch_add(1);
+      latch.Wait();
+    });
+  }
+  while (blocked.load() < pool.num_threads()) std::this_thread::yield();
+
+  ServerOptions options;
+  options.batching.max_batch_size = 4;
+  options.pool = &pool;
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot, options);
+  ASSERT_TRUE(server.ok());
+  // Destroyed before the server: an early failure must not leave Stop
+  // waiting on a batch stuck behind the latch.
+  struct OpenOnExit {
+    Latch* latch;
+    ~OpenOnExit() { latch->Open(); }
+  } open_on_exit{&latch};
+
+  Result<ScoreTicket> one = server.value()->Submit(rows[0]);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_TRUE(one.value().WaitFor(std::chrono::seconds{2}))
+      << "a single row waited for a pool worker";
+  Result<ScoreResult> single = one.value().Wait();
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ExpectBitwiseEqual(single.value(), reference.value()[0], 0);
+
+  Result<ScoreTicket> full = server.value()->Submit(
+      FlattenRows(rows), 4, RequestAuditInfo{}, SubmitTraceInfo{},
+      std::chrono::nanoseconds{0});
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_FALSE(full.value().WaitFor(std::chrono::milliseconds{200}))
+      << "a full batch must wait for a pool worker";
+  EXPECT_EQ(server.value()->inflight_batches(), 1u);
+  latch.Open();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Result<ScoreResult> result = full.value().Wait(i);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectBitwiseEqual(result.value(), reference.value()[i], i);
+  }
+  EXPECT_EQ(server.value()->stats().batches, 2u);
 }
 
 TEST(ScoringServerTest, FarDeadlineScoresNormally) {
