@@ -82,7 +82,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -99,19 +98,17 @@
 #include "data/weights_io.h"
 #include "data/split.h"
 #include "datagen/realworld.h"
-#include "net/frame.h"
-#include "net/socket.h"
 #include "serve/audit/audit_log.h"
 #include "serve/audit/replay.h"
 #include "serve/fleet/fleet.h"
 #include "serve/fleet/health.h"
 #include "serve/fleet/watcher.h"
 #include "serve/net/remote_fleet.h"
+#include "serve/net/router.h"
 #include "serve/net/shard_daemon.h"
 #include "serve/net/wire.h"
 #include "serve/server.h"
 #include "serve/snapshot_io.h"
-#include "serve/trace/metrics_registry.h"
 #include "serve/trace/trace_log.h"
 #include "serve/snapshot_manifest.h"
 #include "util/cli.h"
@@ -121,6 +118,13 @@
 using namespace fairdrift;
 
 namespace {
+
+/// Prints a failed `status` to stderr; true when it failed.
+bool Failed(const Status& status) {
+  if (status.ok()) return false;
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return true;
+}
 
 int CmdList() {
   AsciiTable table({"name", "paper size", "numeric", "categorical",
@@ -160,15 +164,9 @@ Result<Method> ParseMethod(const std::string& name) {
 
 int CmdEval(const CliFlags& flags) {
   Result<Dataset> data = LoadDataset(flags);
-  if (!data.ok()) {
-    std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(data.status())) return 1;
   Result<Method> method = ParseMethod(flags.GetString("method", "confair"));
-  if (!method.ok()) {
-    std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(method.status())) return 1;
   PipelineOptions opts;
   opts.method = method.value();
   std::string learner = ToLower(flags.GetString("learner", "lr"));
@@ -214,16 +212,10 @@ int CmdEval(const CliFlags& flags) {
 
 int CmdConstraints(const CliFlags& flags) {
   Result<Dataset> data = LoadDataset(flags);
-  if (!data.ok()) {
-    std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(data.status())) return 1;
   ProfileOptions opts;
   Result<GroupLabelProfile> profile = GroupLabelProfile::Profile(*data, opts);
-  if (!profile.ok()) {
-    std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(profile.status())) return 1;
   std::vector<std::string> names;
   for (size_t j = 0; j < data->num_features(); ++j) {
     if (data->column(j).is_numeric()) names.push_back(data->column(j).name());
@@ -244,26 +236,17 @@ int CmdConstraints(const CliFlags& flags) {
 
 int CmdWeigh(const CliFlags& flags) {
   Result<Dataset> data = LoadDataset(flags);
-  if (!data.ok()) {
-    std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(data.status())) return 1;
   ConfairOptions opts;
   opts.alpha_u = flags.GetDouble("alpha", 1.0);
   opts.alpha_w = opts.alpha_u / 2.0;
   Result<ConfairWeights> weights = ComputeConfairWeights(*data, opts);
-  if (!weights.ok()) {
-    std::fprintf(stderr, "%s\n", weights.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(weights.status())) return 1;
   Dataset out = *data;
   if (!out.SetWeights(weights->weights).ok()) return 1;
   std::string path = flags.GetString("out", "/tmp/fairdrift_weighted.csv");
   Status st = WriteCsv(out, path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (Failed(st)) return 1;
   std::printf("CONFAIR weights (alpha_u=%.2f): boosted %zu + %zu of %zu "
               "tuples; written to %s\n",
               opts.alpha_u, weights->boosted_primary,
@@ -273,10 +256,7 @@ int CmdWeigh(const CliFlags& flags) {
   std::string weights_path = flags.GetString("weights-out", "");
   if (!weights_path.empty()) {
     st = WriteWeightsFor(*data, weights->weights, weights_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
+    if (Failed(st)) return 1;
     std::printf("standalone weight file: %s (fingerprint %016llx)\n",
                 weights_path.c_str(),
                 static_cast<unsigned long long>(DatasetFingerprint(*data)));
@@ -369,15 +349,9 @@ bool ParseMonitorFlag(const CliFlags& flags, MonitorSpec* spec) {
 
 int CmdSnapshotSave(const CliFlags& flags) {
   Result<Dataset> data = LoadDataset(flags);
-  if (!data.ok()) {
-    std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(data.status())) return 1;
   Result<Method> method = ParseMethod(flags.GetString("method", "confair"));
-  if (!method.ok()) {
-    std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(method.status())) return 1;
   TrainSpec spec = ServingSpec(method.value());
   std::string learner = ToLower(flags.GetString("learner", "lr"));
   spec.learner = learner == "xgb"  ? LearnerKind::kGradientBoosting
@@ -411,16 +385,10 @@ int CmdSnapshotSave(const CliFlags& flags) {
     return BuildSnapshot(*data, spec);
   };
   Result<std::shared_ptr<const ModelSnapshot>> snapshot = build();
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(snapshot.status())) return 1;
   std::string path = flags.GetString("out", "/tmp/fairdrift_snapshot.bin");
   Status st = SaveSnapshot(*snapshot.value(), path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (Failed(st)) return 1;
   std::printf("%s snapshot (%s, %d group model(s)%s%s) trained on %zu "
               "tuples -> %s\n",
               MethodName(spec.method), LearnerKindName(spec.learner),
@@ -438,10 +406,7 @@ int CmdSnapshotSave(const CliFlags& flags) {
         MakeSchemaRequests(snapshot.value()->schema(), n, seed);
     Result<std::vector<ScoreResult>> scores =
         snapshot.value()->ScoreBatch(requests);
-    if (!scores.ok()) {
-      std::fprintf(stderr, "%s\n", scores.status().ToString().c_str());
-      return 1;
-    }
+    if (Failed(scores.status())) return 1;
     if (WriteScoresFile(scores.value(), scores_path) != 0) return 1;
     std::printf("scored %zu deterministic rows -> %s\n", n,
                 scores_path.c_str());
@@ -452,10 +417,7 @@ int CmdSnapshotSave(const CliFlags& flags) {
 int CmdSnapshotLoadAndScore(const CliFlags& flags) {
   std::string path = flags.GetString("in", "/tmp/fairdrift_snapshot.bin");
   Result<std::shared_ptr<const ModelSnapshot>> snapshot = LoadSnapshot(path);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(snapshot.status())) return 1;
   std::printf("loaded %s: %zu fields, %d group model(s)%s%s\n", path.c_str(),
               snapshot.value()->num_features(),
               snapshot.value()->num_groups(),
@@ -467,10 +429,7 @@ int CmdSnapshotLoadAndScore(const CliFlags& flags) {
   // two-process deployment shape end to end.
   Result<std::unique_ptr<ScoringServer>> server =
       ScoringServer::Create(snapshot.value());
-  if (!server.ok()) {
-    std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(server.status())) return 1;
   size_t n = static_cast<size_t>(flags.GetInt("score-rows", 256));
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("score-seed", 99));
   Matrix requests = MakeSchemaRequests(snapshot.value()->schema(), n, seed);
@@ -548,10 +507,7 @@ int CmdServe(const CliFlags& flags) {
     }
     snapshot = Status::Unavailable("snapshot changed while loading");
   }
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(snapshot.status())) return 1;
   Schema schema = snapshot.value()->schema();
 
   FleetOptions options;
@@ -602,19 +558,13 @@ int CmdServe(const CliFlags& flags) {
   }
   Result<std::unique_ptr<ScoringFleet>> fleet =
       ScoringFleet::Create(snapshot.value(), options);
-  if (!fleet.ok()) {
-    std::fprintf(stderr, "%s\n", fleet.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(fleet.status())) return 1;
 
   size_t rows = static_cast<size_t>(flags.GetInt("score-rows", 64));
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("score-seed", 99));
   Result<uint64_t> served = ServeProbeRows(fleet.value().get(), schema,
                                            rows, seed);
-  if (!served.ok()) {
-    std::fprintf(stderr, "%s\n", served.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(served.status())) return 1;
   std::printf("serving %s: %zu shard(s), %s routing, snapshot_version=%llu\n",
               path.c_str(), fleet.value()->num_shards(),
               FleetRoutingPolicyName(options.routing),
@@ -632,10 +582,7 @@ int CmdServe(const CliFlags& flags) {
     HealthMonitorOptions health_options;
     health_options.probe_interval = std::chrono::milliseconds(health_ms);
     Status started = health.Start(fleet.value().get(), health_options);
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.ToString().c_str());
-      return 1;
-    }
+    if (Failed(started)) return 1;
   }
 
   // Periodic status lines (--status-ms): one "status:" line with each
@@ -786,10 +733,7 @@ int CmdServe(const CliFlags& flags) {
         reloaded_cv.notify_all();
       },
       watch);
-  if (!watcher.ok()) {
-    std::fprintf(stderr, "%s\n", watcher.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(watcher.status())) return 1;
 
   long wait_secs = flags.GetInt("wait-for-reload", 0);
   if (wait_secs <= 0) {
@@ -824,10 +768,7 @@ int CmdServe(const CliFlags& flags) {
   }
   Result<uint64_t> after = ServeProbeRows(fleet.value().get(), schema,
                                           rows, seed);
-  if (!after.ok()) {
-    std::fprintf(stderr, "%s\n", after.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(after.status())) return 1;
   FleetStatsView stats = fleet.value()->stats();
   SnapshotWatcher::View wv = watcher.value()->stats();
   std::printf("reloaded: snapshot_version %llu -> %llu (version skew "
@@ -916,10 +857,7 @@ int CmdAuditReplay(const CliFlags& flags) {
   }
   Result<std::shared_ptr<const ModelSnapshot>> snapshot =
       LoadSnapshot(snap_path);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(snapshot.status())) return 1;
   Result<ReplayReport> replay = ReplayAuditLog(path, *snapshot.value());
   if (!replay.ok()) {
     std::fprintf(stderr, "%s\n", replay.status().ToString().c_str());
@@ -972,6 +910,17 @@ std::vector<std::string> SplitCommaList(const std::string& s) {
   return parts;
 }
 
+/// Parks a serving command's main thread: for --run-secs seconds, or
+/// until the process is killed when it is 0 (the default).
+void ParkForRunSecs(const CliFlags& flags) {
+  long run_secs = flags.GetInt("run-secs", 0);
+  auto started = std::chrono::steady_clock::now();
+  while (run_secs <= 0 || std::chrono::steady_clock::now() - started <
+                              std::chrono::seconds(run_secs)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+}
+
 /// `shard --listen PORT (--in SNAP | --state-dir DIR)`: one ScoringServer
 /// behind the wire. With --state-dir, a directory holding a previously
 /// pushed chunked snapshot is preferred over --in, so a restarted daemon
@@ -1005,16 +954,10 @@ int CmdShard(const CliFlags& flags) {
     origin = flags.GetString("in", "");
     snapshot = LoadSnapshot(origin, mode, &report);
   }
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(snapshot.status())) return 1;
   Result<std::unique_ptr<net::ShardDaemon>> daemon =
       net::ShardDaemon::Start(snapshot.value(), options);
-  if (!daemon.ok()) {
-    std::fprintf(stderr, "%s\n", daemon.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(daemon.status())) return 1;
   // The parent (CI script, router operator) scrapes this line for the
   // resolved ephemeral port; flush so it is visible before we park.
   std::printf("shard listening on %s:%u from %s snapshot_version=%llu%s\n",
@@ -1025,190 +968,17 @@ int CmdShard(const CliFlags& flags) {
                   : "");
   std::fflush(stdout);
 
-  long run_secs = flags.GetInt("run-secs", 0);
-  auto started = std::chrono::steady_clock::now();
-  for (;;) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (run_secs > 0 && std::chrono::steady_clock::now() - started >=
-                            std::chrono::seconds(run_secs)) {
-      break;
-    }
-  }
+  ParkForRunSecs(flags);
   daemon.value()->Stop();
   return 0;
 }
 
-/// The frontend router process's push staging area. Unlike a shard
-/// daemon the router keeps no chunk store of its own, so it asks the
-/// pusher for every chunk; the incremental hop is router -> shards,
-/// where each daemon's manifest diff keeps unchanged chunks local.
-struct RouterPushState {
-  std::mutex mu;
-  bool valid = false;
-  SnapshotManifest manifest;
-  std::map<std::string, std::string> chunks;
-};
-
-net::Frame RouterErrorFrame(const Status& error) {
-  BinaryWriter w;
-  w.WriteU8(static_cast<uint8_t>(error.code()));
-  w.WriteString(error.message());
-  return net::Frame{net::FrameType::kError, std::move(w).TakeBuffer()};
-}
-
-net::Frame RouterHandleFrame(const net::Frame& frame, net::RemoteFleet* fleet,
-                             RouterPushState* push) {
-  switch (frame.type) {
-    case net::FrameType::kScoreBatch: {
-      BinaryReader r(frame.payload);
-      Result<net::WireScoreRequest> request =
-          net::DeserializeScoreRequest(&r);
-      if (!request.ok()) return RouterErrorFrame(request.status());
-      Result<std::vector<net::WireRowOutcome>> outcomes = fleet->ScoreBatch(
-          request.value().rows, request.value().width,
-          request.value().deadline());
-      if (!outcomes.ok()) return RouterErrorFrame(outcomes.status());
-      BinaryWriter w;
-      net::SerializeRowOutcomes(outcomes.value(), &w);
-      return net::Frame{net::FrameType::kScoreBatchReply,
-                        std::move(w).TakeBuffer()};
-    }
-    case net::FrameType::kHealthProbe: {
-      FleetStatsView stats = fleet->stats();
-      net::WireHealthProbe probe;
-      probe.completed = stats.completed;
-      for (size_t depth : stats.queue_depths) probe.queue_depth += depth;
-      probe.snapshot_version = stats.min_snapshot_version;
-      BinaryWriter w;
-      net::SerializeHealthProbe(probe, &w);
-      return net::Frame{net::FrameType::kHealthProbeReply,
-                        std::move(w).TakeBuffer()};
-    }
-    case net::FrameType::kStatsSnapshot: {
-      BinaryWriter w;
-      net::SerializeStatsView(fleet->stats(), &w);
-      return net::Frame{net::FrameType::kStatsSnapshotReply,
-                        std::move(w).TakeBuffer()};
-    }
-    case net::FrameType::kMetrics: {
-      // The router exposes the same fairdrift_* family set the daemons
-      // expose, rendered from the fleet-merged view — a router scrape
-      // equals the sum/merge of the per-daemon scrapes — plus its own
-      // routing-lifecycle counters.
-      std::string text;
-      MetricsEmitter emitter(&text);
-      FleetStatsView fv = fleet->stats();
-      EmitStatsViewMetrics(fv, &emitter);
-      emitter.Counter("fairdrift_router_ejections_total",
-                      "Shards ejected from routing", fv.ejections);
-      emitter.Counter("fairdrift_router_readmissions_total",
-                      "Ejected shards returned to routing", fv.readmissions);
-      emitter.Counter("fairdrift_router_rolling_updates_total",
-                      "Rolling pushes relayed", fv.rolling_updates);
-      emitter.Counter("fairdrift_router_rollbacks_total",
-                      "Rolling pushes rolled back", fv.rollbacks);
-      emitter.Gauge("fairdrift_router_shards",
-                    "Shard daemons behind this router",
-                    static_cast<double>(fv.num_shards));
-      return net::Frame{net::FrameType::kMetricsReply, std::move(text)};
-    }
-    case net::FrameType::kPushManifest: {
-      BinaryReader r(frame.payload);
-      Result<SnapshotManifest> manifest = DeserializeManifest(&r);
-      if (!manifest.ok()) return RouterErrorFrame(manifest.status());
-      std::lock_guard<std::mutex> lock(push->mu);
-      push->manifest = std::move(manifest).value();
-      push->chunks.clear();
-      push->valid = true;
-      BinaryWriter w;
-      w.WriteU64(push->manifest.chunks.size());
-      for (const SnapshotChunkInfo& info : push->manifest.chunks) {
-        w.WriteString(info.name);
-      }
-      return net::Frame{net::FrameType::kPushManifestReply,
-                        std::move(w).TakeBuffer()};
-    }
-    case net::FrameType::kPushChunk: {
-      BinaryReader r(frame.payload);
-      Result<std::string> name = r.ReadString();
-      if (!name.ok()) return RouterErrorFrame(name.status());
-      Result<std::string> bytes = r.ReadString();
-      if (!bytes.ok()) return RouterErrorFrame(bytes.status());
-      std::lock_guard<std::mutex> lock(push->mu);
-      if (!push->valid) {
-        return RouterErrorFrame(Status::FailedPrecondition(
-            "push chunk without a pending manifest"));
-      }
-      size_t index = push->manifest.FindChunk(name.value());
-      if (index == static_cast<size_t>(-1)) {
-        return RouterErrorFrame(Status::InvalidArgument(
-            "chunk '" + name.value() + "' is not in the pending manifest"));
-      }
-      const SnapshotChunkInfo& info = push->manifest.chunks[index];
-      if (bytes.value().size() != info.size ||
-          Fnv1aHash(bytes.value().data(), bytes.value().size()) !=
-              info.checksum) {
-        return RouterErrorFrame(Status::DataLoss(
-            "chunk '" + name.value() + "' does not match its manifest entry"));
-      }
-      push->chunks[info.name] = std::move(bytes).value();
-      return net::Frame{net::FrameType::kPushChunkReply, std::string()};
-    }
-    case net::FrameType::kPushCommit: {
-      ChunkedSnapshot chunked;
-      {
-        std::lock_guard<std::mutex> lock(push->mu);
-        if (!push->valid) {
-          return RouterErrorFrame(Status::FailedPrecondition(
-              "push commit without a pending manifest"));
-        }
-        chunked.manifest = push->manifest;
-        for (const SnapshotChunkInfo& info : push->manifest.chunks) {
-          auto staged = push->chunks.find(info.name);
-          if (staged == push->chunks.end()) {
-            return RouterErrorFrame(Status::FailedPrecondition(
-                "chunk '" + info.name + "' was never pushed"));
-          }
-          chunked.chunks.push_back({info.name, staged->second});
-        }
-        push->valid = false;
-        push->chunks.clear();
-      }
-      Result<RollingUpdateReport> rolled = fleet->PushRolling(chunked);
-      if (!rolled.ok()) return RouterErrorFrame(rolled.status());
-      if (rolled.value().state == RolloutState::kRolledBack) {
-        return RouterErrorFrame(Status::Unavailable(
-            "rolling push rolled back: " + rolled.value().failure));
-      }
-      // Every daemon stamps its own process-local version; report the
-      // fleet's minimum so the pusher sees the slowest shard's floor.
-      uint64_t version = 0;
-      for (size_t s = 0; s < fleet->num_shards(); ++s) {
-        Result<net::WireHealthProbe> probe = fleet->shard_client(s)->Probe();
-        if (!probe.ok()) continue;
-        uint64_t v = probe.value().snapshot_version;
-        if (version == 0 || v < version) version = v;
-      }
-      BinaryWriter w;
-      w.WriteU64(version);
-      w.WriteU8(0);
-      w.WriteString(std::string());
-      return net::Frame{net::FrameType::kPushCommitReply,
-                        std::move(w).TakeBuffer()};
-    }
-    default:
-      return RouterErrorFrame(Status::InvalidArgument(
-          std::string("router cannot serve frame type ") +
-          net::FrameTypeName(frame.type)));
-  }
-}
-
-/// `route --listen PORT --connect h:p,h:p`: the frontend router process.
-/// Clients speak the same frame protocol they would speak to a single
-/// shard daemon; the router fans score batches out across the fleet by
-/// the configured policy, health-probes the daemons (eject -> readmit),
-/// merges stats on the wire, and relays snapshot pushes with rolling
-/// one-shard-out-at-a-time semantics.
+/// `route --listen PORT --connect h:p,h:p`: the frontend router process
+/// (net::Router). Clients speak the same frame protocol they would speak
+/// to a single shard daemon; the router fans score batches out across
+/// the fleet by the configured policy, health-probes the daemons (eject
+/// -> readmit), merges stats on the wire, and relays snapshot pushes
+/// with rolling one-shard-out-at-a-time semantics.
 int CmdRoute(const CliFlags& flags) {
   std::vector<std::string> addresses =
       SplitCommaList(flags.GetString("connect", ""));
@@ -1219,96 +989,39 @@ int CmdRoute(const CliFlags& flags) {
   net::RemoteFleetOptions options;
   Result<FleetRoutingPolicy> routing =
       ParseFleetRoutingPolicy(flags.GetString("routing", "hash"));
-  if (!routing.ok()) {
-    std::fprintf(stderr, "%s\n", routing.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(routing.status())) return 1;
   options.routing = routing.value();
   options.probe_interval =
       std::chrono::milliseconds(flags.GetInt("probe-ms", 100));
   options.io_timeout =
       std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 5000));
-  Result<std::unique_ptr<net::RemoteFleet>> fleet =
-      net::RemoteFleet::Connect(addresses, options);
-  if (!fleet.ok()) {
-    std::fprintf(stderr, "%s\n", fleet.status().ToString().c_str());
-    return 1;
-  }
   std::string host = flags.GetString("host", "127.0.0.1");
-  Result<net::TcpListener> listener = net::TcpListener::Listen(
-      host, static_cast<uint16_t>(flags.GetInt("listen", 0)));
-  if (!listener.ok()) {
-    std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
-    return 1;
-  }
+  Result<std::unique_ptr<net::Router>> router = net::Router::Start(
+      addresses, options, host,
+      static_cast<uint16_t>(flags.GetInt("listen", 0)));
+  if (Failed(router.status())) return 1;
   std::printf("router listening on %s:%u over %zu shard(s), %s routing\n",
-              host.c_str(), listener.value().port(), addresses.size(),
+              host.c_str(), router.value()->port(), addresses.size(),
               FleetRoutingPolicyName(options.routing));
   std::fflush(stdout);
 
-  RouterPushState push;
-  std::atomic<bool> stop{false};
-  // One handler thread per live client; `done` flips when the handler
-  // exits so the accept loop can reap (join) it instead of holding a
-  // joinable pthread per client the router has ever served.
-  struct RouterConn {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::vector<RouterConn> conns;
-  net::RemoteFleet* fleet_ptr = fleet.value().get();
-  std::chrono::milliseconds io = options.io_timeout;
-
-  long run_secs = flags.GetInt("run-secs", 0);
-  auto started = std::chrono::steady_clock::now();
-  while (!stop.load()) {
-    if (run_secs > 0 && std::chrono::steady_clock::now() - started >=
-                            std::chrono::seconds(run_secs)) {
-      stop.store(true);
-      break;
-    }
-    for (auto it = conns.begin(); it != conns.end();) {
-      if (it->done->load(std::memory_order_acquire)) {
-        it->thread.join();
-        it = conns.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    Result<net::TcpConnection> accepted =
-        listener.value().Accept(std::chrono::milliseconds(50));
-    if (!accepted.ok()) continue;
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    conns.push_back(RouterConn{
-        std::thread(
-            [&stop, &push, fleet_ptr, io, done](net::TcpConnection conn) {
-              while (!stop.load()) {
-                if (!conn.WaitReadable(std::chrono::milliseconds(50))) {
-                  continue;
-                }
-                Result<net::Frame> frame = net::ReadFrame(conn, io);
-                if (!frame.ok()) {
-                  (void)net::WriteErrorFrame(conn, frame.status(), io);
-                  break;
-                }
-                net::Frame reply =
-                    RouterHandleFrame(frame.value(), fleet_ptr, &push);
-                if (!net::WriteFrame(conn, reply.type, reply.payload, io)
-                         .ok()) {
-                  break;
-                }
-              }
-              conn.Close();
-              done->store(true, std::memory_order_release);
-            },
-            std::move(accepted).value()),
-        done});
-  }
-  for (RouterConn& c : conns) {
-    if (c.thread.joinable()) c.thread.join();
-  }
-  fleet.value()->Stop();
+  ParkForRunSecs(flags);
+  router.value()->Stop();
   return 0;
+}
+
+/// The client for `--connect HOST:PORT` (a shard daemon or a router);
+/// null after printing why the address does not parse.
+std::unique_ptr<net::RemoteShardClient> ConnectClient(const CliFlags& flags) {
+  std::string host;
+  uint16_t port = 0;
+  if (Failed(net::ParseHostPort(flags.GetString("connect", ""), &host,
+                                &port))) {
+    return nullptr;
+  }
+  return std::make_unique<net::RemoteShardClient>(
+      host, port,
+      std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 30000)));
 }
 
 /// `push --connect HOST:PORT --in SNAP`: incremental snapshot push. The
@@ -1322,62 +1035,23 @@ int CmdNetPush(const CliFlags& flags) {
     std::fprintf(stderr, "push needs --connect HOST:PORT and --in FILE\n");
     return 1;
   }
-  std::string host;
-  uint16_t port = 0;
-  Status parsed = net::ParseHostPort(address, &host, &port);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
-    return 1;
-  }
+  std::unique_ptr<net::RemoteShardClient> client = ConnectClient(flags);
+  if (client == nullptr) return 1;
   Result<std::shared_ptr<const ModelSnapshot>> snapshot = LoadSnapshot(path);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(snapshot.status())) return 1;
   Result<ChunkedSnapshot> chunked = ChunkSnapshot(*snapshot.value());
-  if (!chunked.ok()) {
-    std::fprintf(stderr, "%s\n", chunked.status().ToString().c_str());
-    return 1;
-  }
-  net::RemoteShardClient client(
-      host, port,
-      std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 30000)));
-  Result<std::vector<std::string>> needed =
-      client.PushManifest(chunked.value().manifest);
-  if (!needed.ok()) {
-    std::fprintf(stderr, "%s\n", needed.status().ToString().c_str());
-    return 1;
-  }
-  uint64_t bytes_sent = 0;
-  for (const std::string& name : needed.value()) {
-    size_t index = chunked.value().manifest.FindChunk(name);
-    if (index == static_cast<size_t>(-1)) {
-      std::fprintf(stderr, "receiver requested unknown chunk '%s'\n",
-                   name.c_str());
-      return 1;
-    }
-    const SnapshotPayloadChunk& chunk = chunked.value().chunks[index];
-    Status pushed = client.PushChunk(chunk.name, chunk.bytes);
-    if (!pushed.ok()) {
-      std::fprintf(stderr, "%s\n", pushed.ToString().c_str());
-      return 1;
-    }
-    bytes_sent += chunk.bytes.size();
-  }
-  Result<net::RemoteShardClient::CommitReply> commit = client.PushCommit();
-  if (!commit.ok()) {
-    std::fprintf(stderr, "%s\n", commit.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(chunked.status())) return 1;
+  Result<net::RemoteShardClient::PushReply> pushed =
+      client->Push(chunked.value());
+  if (Failed(pushed.status())) return 1;
+  const net::RemoteShardClient::PushReply& reply = pushed.value();
   std::printf("pushed %zu/%zu chunk(s), %llu payload byte(s); remote "
               "snapshot_version=%llu%s%s%s\n",
-              needed.value().size(), chunked.value().chunks.size(),
-              static_cast<unsigned long long>(bytes_sent),
-              static_cast<unsigned long long>(
-                  commit.value().snapshot_version),
-              commit.value().degraded ? " (degraded)" : "",
-              commit.value().note.empty() ? "" : " — ",
-              commit.value().note.c_str());
+              reply.chunks_sent, chunked.value().chunks.size(),
+              static_cast<unsigned long long>(reply.bytes_sent),
+              static_cast<unsigned long long>(reply.snapshot_version),
+              reply.degraded ? " (degraded)" : "",
+              reply.note.empty() ? "" : " — ", reply.note.c_str());
   return 0;
 }
 
@@ -1394,44 +1068,25 @@ int CmdNetScore(const CliFlags& flags) {
                  "snapshot whose schema generates the request rows)\n");
     return 1;
   }
-  std::string host;
-  uint16_t port = 0;
-  Status parsed = net::ParseHostPort(address, &host, &port);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
-    return 1;
-  }
+  std::unique_ptr<net::RemoteShardClient> client = ConnectClient(flags);
+  if (client == nullptr) return 1;
   SnapshotLoadMode mode = flags.GetBool("allow-partial", false)
                               ? SnapshotLoadMode::kAllowPartial
                               : SnapshotLoadMode::kStrict;
   SnapshotLoadReport report;
   Result<std::shared_ptr<const ModelSnapshot>> snapshot =
       LoadSnapshot(path, mode, &report);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(snapshot.status())) return 1;
   size_t n = static_cast<size_t>(flags.GetInt("score-rows", 64));
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("score-seed", 99));
   Matrix requests = MakeSchemaRequests(snapshot.value()->schema(), n, seed);
 
   net::WireScoreRequest request;
   request.width = requests.cols();
-  request.rows.reserve(requests.rows() * requests.cols());
-  for (size_t i = 0; i < requests.rows(); ++i) {
-    for (size_t j = 0; j < requests.cols(); ++j) {
-      request.rows.push_back(requests.At(i, j));
-    }
-  }
-  net::RemoteShardClient client(
-      host, port,
-      std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 30000)));
+  request.rows = requests.data();
   Result<std::vector<net::WireRowOutcome>> outcomes =
-      client.ScoreBatch(request);
-  if (!outcomes.ok()) {
-    std::fprintf(stderr, "%s\n", outcomes.status().ToString().c_str());
-    return 1;
-  }
+      client->ScoreBatch(request);
+  if (Failed(outcomes.status())) return 1;
   std::vector<ScoreResult> scores;
   scores.reserve(outcomes.value().size());
   for (size_t i = 0; i < outcomes.value().size(); ++i) {
@@ -1460,21 +1115,10 @@ int CmdMetrics(const CliFlags& flags) {
     std::fprintf(stderr, "metrics needs --connect HOST:PORT\n");
     return 1;
   }
-  std::string host;
-  uint16_t port = 0;
-  Status parsed = net::ParseHostPort(address, &host, &port);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
-    return 1;
-  }
-  net::RemoteShardClient client(
-      host, port,
-      std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 30000)));
-  Result<std::string> text = client.Metrics();
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
+  std::unique_ptr<net::RemoteShardClient> client = ConnectClient(flags);
+  if (client == nullptr) return 1;
+  Result<std::string> text = client->Metrics();
+  if (Failed(text.status())) return 1;
   std::fputs(text.value().c_str(), stdout);
   return 0;
 }

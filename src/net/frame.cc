@@ -173,12 +173,16 @@ Result<Frame> ReadFrame(TcpConnection& conn, std::chrono::milliseconds timeout,
   return frame;
 }
 
-Status WriteErrorFrame(TcpConnection& conn, const Status& error,
-                       std::chrono::milliseconds timeout) {
+Frame ErrorFrame(const Status& error) {
   BinaryWriter w;
   w.WriteU8(static_cast<uint8_t>(error.code()));
   w.WriteString(error.message());
-  return WriteFrame(conn, FrameType::kError, std::move(w).TakeBuffer(),
+  return Frame{FrameType::kError, std::move(w).TakeBuffer()};
+}
+
+Status WriteErrorFrame(TcpConnection& conn, const Status& error,
+                       std::chrono::milliseconds timeout) {
+  return WriteFrame(conn, FrameType::kError, ErrorFrame(error).payload,
                     timeout);
 }
 

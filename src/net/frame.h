@@ -116,7 +116,10 @@ Status WriteTracedFrame(TcpConnection& conn, FrameType type,
 Result<Frame> ReadFrame(TcpConnection& conn, std::chrono::milliseconds timeout,
                         uint64_t max_payload = kMaxFramePayload);
 
-/// Sends a kError frame carrying `error`'s code and message.
+/// A kError frame carrying `error`'s code and message.
+Frame ErrorFrame(const Status& error);
+
+/// Sends ErrorFrame(error).
 Status WriteErrorFrame(TcpConnection& conn, const Status& error,
                        std::chrono::milliseconds timeout);
 

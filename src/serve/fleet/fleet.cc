@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include <thread>
-
 #include "serve/server_stats.h"
 #include "util/binary_io.h"
 #include "util/fault.h"
 #include "util/parallel.h"
-#include "util/rng.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace fairdrift {
 
@@ -52,16 +48,6 @@ Result<FleetRoutingPolicy> ParseFleetRoutingPolicy(const std::string& name) {
   }
   return Status::InvalidArgument("unknown routing policy '" + name +
                                  "' (want rr|least|hash)");
-}
-
-const char* RolloutStateName(RolloutState state) {
-  switch (state) {
-    case RolloutState::kCommitted:
-      return "committed";
-    case RolloutState::kRolledBack:
-      return "rolled-back";
-  }
-  return "?";
 }
 
 ShardRouter::ShardRouter(FleetRoutingPolicy policy, size_t num_shards)
@@ -125,9 +111,10 @@ size_t ShardRouter::Pick(const double* row, size_t width,
     }
   }
   // Walk off an unavailable shard (rolling update draining it, or the
-  // health monitor ejected it). With every shard unavailable — only
-  // possible transiently on a 1-shard fleet — keep the nominal pick:
-  // its queue stays open, requests just wait out the swap.
+  // health monitor ejected it). The ejection rule never ejects the last
+  // routable shard, so every shard is unavailable only while a rolling
+  // update drains the last one (always, on a 1-shard fleet) — then keep
+  // the nominal pick: its queue stays open, requests wait out the swap.
   for (size_t step = 0; step < num_shards_; ++step) {
     size_t s = (nominal + step) % num_shards_;
     if (fleet.ShardAvailable(s)) return s;
@@ -176,14 +163,8 @@ Result<std::unique_ptr<ScoringFleet>> ScoringFleet::Create(
 
 ScoringFleet::ScoringFleet(const FleetOptions& options)
     : options_(options),
-      draining_(new std::atomic<bool>[options.num_shards]),
-      ejected_(new std::atomic<bool>[options.num_shards]),
-      router_(options.routing, options.num_shards) {
-  for (size_t s = 0; s < options.num_shards; ++s) {
-    draining_[s].store(false, std::memory_order_relaxed);
-    ejected_[s].store(false, std::memory_order_relaxed);
-  }
-}
+      shards_(options.num_shards),
+      router_(options.routing, options.num_shards) {}
 
 ScoringFleet::~ScoringFleet() { Stop(); }
 
@@ -226,7 +207,7 @@ Status ScoringFleet::UpdateSnapshot(
   if (snapshot == nullptr) {
     return Status::InvalidArgument("UpdateSnapshot: null snapshot");
   }
-  std::lock_guard<std::mutex> lock(update_mu_);
+  std::lock_guard<std::mutex> lock(rollouts_.mutex());
   for (size_t s = 0; s < servers_.size(); ++s) {
     FAIRDRIFT_RETURN_IF_ERROR(shard_ref(s)->UpdateSnapshot(snapshot));
   }
@@ -239,161 +220,38 @@ Result<RollingUpdateReport> ScoringFleet::RollingUpdate(
   if (snapshot == nullptr) {
     return Status::InvalidArgument("RollingUpdate: null snapshot");
   }
-  if (options.max_attempts_per_shard == 0) {
-    return Status::InvalidArgument("RollingUpdate: zero attempts per shard");
-  }
-  std::lock_guard<std::mutex> lock(update_mu_);
-  RollingUpdateReport report;
-  report.shard_stall_ms.reserve(servers_.size());
-  report.shards.reserve(servers_.size());
-  // Each shard's pre-rollout snapshot, captured so a rollback restores
-  // exactly what that shard was serving (shards can disagree when a
-  // previous rollout was aborted with rollback disabled).
+  // Each shard's pre-swap snapshot, so a revert restores exactly what
+  // that shard was serving.
   std::vector<std::shared_ptr<const ModelSnapshot>> prior(servers_.size());
-  Rng jitter_rng(options.backoff_seed);
-
-  size_t failed_shard = servers_.size();
-  for (size_t s = 0; s < servers_.size() && failed_shard == servers_.size();
-       ++s) {
-    ShardRolloutReport shard_report;
-    shard_report.shard = s;
+  // On a 1-shard fleet the router keeps feeding the draining shard, so
+  // the barrier only waits out its in-flight batches (per-batch isolation
+  // still gives every request one consistent version).
+  const bool require_empty_queue = servers_.size() > 1;
+  RolloutTarget target;
+  target.swap = [&](size_t s, uint64_t* version) {
     std::shared_ptr<ScoringServer> server = shard_ref(s);
     prior[s] = server->CurrentSnapshot();
-    std::chrono::nanoseconds backoff = options.initial_backoff;
-    for (size_t attempt = 1; attempt <= options.max_attempts_per_shard;
-         ++attempt) {
-      shard_report.attempts = attempt;
-      ++report.total_attempts;
-      // Take the shard out of rotation, then wait for what it already
-      // admitted to finish scoring against the current snapshot. On a
-      // 1-shard fleet the router keeps feeding the shard, so the barrier
-      // only waits out the in-flight batches (per-batch isolation still
-      // gives every request one consistent version).
-      draining_[s].store(true, std::memory_order_release);
-      WallTimer stall;
-      Status attempted =
-          server->Quiesce(options.drain_timeout,
-                          /*require_empty_queue=*/servers_.size() > 1);
-      if (attempted.ok()) {
-        // Fault site: the swap itself fails (e.g. the shard rejects the
-        // snapshot) — retried like a drain stall.
-        if (FAULT_POINT_ARG("fleet.swap", s)) {
-          attempted = Status::Unavailable(
-              "RollingUpdate: snapshot swap failed (injected fault: "
-              "fleet.swap)");
-        } else {
-          attempted = server->UpdateSnapshot(snapshot);
-        }
-      }
-      // Between attempts (and on every exit path) the shard re-enters
-      // rotation — a stalled rollout must never leave it routed around.
-      draining_[s].store(false, std::memory_order_release);
-      if (attempted.ok()) {
-        shard_report.updated = true;
-        shard_report.stall_ms = stall.ElapsedMillis();
-        break;
-      }
-      shard_report.last_error = attempted.message();
-      if (attempt == options.max_attempts_per_shard) {
-        failed_shard = s;
-        break;
-      }
-      // Exponential backoff with deterministic jitter: the shard serves
-      // traffic while the backlog that stalled the barrier drains.
-      double factor =
-          1.0 + options.backoff_jitter * (2.0 * jitter_rng.Uniform() - 1.0);
-      if (factor < 0.0) factor = 0.0;
-      auto wait = std::chrono::nanoseconds(static_cast<int64_t>(
-          static_cast<double>(backoff.count()) * factor));
-      if (wait.count() > 0) std::this_thread::sleep_for(wait);
-      backoff = std::chrono::nanoseconds(static_cast<int64_t>(
-          static_cast<double>(backoff.count()) * options.backoff_multiplier));
+    FAIRDRIFT_RETURN_IF_ERROR(
+        server->Quiesce(options.drain_timeout, require_empty_queue));
+    // Fault site: the swap itself fails (e.g. the shard rejects the
+    // snapshot) — retried like a drain stall.
+    if (FAULT_POINT_ARG("fleet.swap", s)) {
+      return Status::Unavailable(
+          "RollingUpdate: snapshot swap failed (injected fault: "
+          "fleet.swap)");
     }
-    if (shard_report.updated) {
-      report.shard_stall_ms.push_back(shard_report.stall_ms);
-      report.max_stall_ms =
-          std::max(report.max_stall_ms, shard_report.stall_ms);
-      ++report.shards_updated;
-    }
-    report.shards.push_back(std::move(shard_report));
-  }
-
-  if (failed_shard == servers_.size()) {
-    rolling_updates_.fetch_add(1, std::memory_order_relaxed);
-    return report;
-  }
-
-  report.failure = StrFormat(
-      "RollingUpdate: shard %zu did not drain within the barrier timeout "
-      "after %zu attempts (%zu of %zu shards already updated)",
-      failed_shard, options.max_attempts_per_shard, report.shards_updated,
-      servers_.size());
-  if (!options.rollback_on_failure) {
-    // Legacy abort: updated shards keep the new snapshot; the skew is
-    // visible in FleetStats until a later rollout. The failed shard is
-    // already back in rotation (reset above).
-    rolling_updates_.fetch_add(1, std::memory_order_relaxed);
-    return Status::DeadlineExceeded(report.failure);
-  }
-
-  // Rollback: restore already-updated shards to their prior snapshots in
-  // reverse order through the same drain barrier, so each rolled-back
-  // shard's admitted requests score one consistent version too. A shard
-  // whose rollback barrier ALSO stalls is force-swapped without the
-  // barrier — per-batch isolation keeps that safe (in-flight batches
-  // finish on the snapshot they grabbed), and the fleet must converge to
-  // zero skew no matter what.
-  for (size_t i = report.shards.size(); i-- > 0;) {
-    ShardRolloutReport& shard_report = report.shards[i];
-    if (!shard_report.updated) continue;
-    size_t s = shard_report.shard;
+    *version = snapshot->version();
+    return server->UpdateSnapshot(snapshot);
+  };
+  target.revert = [&](size_t s) {
+    // A revert barrier that stalls again is swapped through anyway:
+    // in-flight batches finish on the snapshot they grabbed, and the
+    // fleet must converge to zero skew.
     std::shared_ptr<ScoringServer> server = shard_ref(s);
-    draining_[s].store(true, std::memory_order_release);
-    WallTimer stall;
-    Status drained =
-        server->Quiesce(options.drain_timeout,
-                        /*require_empty_queue=*/servers_.size() > 1);
-    (void)drained;  // forced swap below is safe either way
-    Status swapped = server->UpdateSnapshot(prior[s]);
-    draining_[s].store(false, std::memory_order_release);
-    if (!swapped.ok()) {
-      // UpdateSnapshot only fails on a null snapshot; prior[s] is not.
-      return Status::Internal("RollingUpdate rollback: " + swapped.message());
-    }
-    shard_report.rolled_back = true;
-    shard_report.rollback_stall_ms = stall.ElapsedMillis();
-    report.rollback_stall_ms += shard_report.rollback_stall_ms;
-  }
-  report.state = RolloutState::kRolledBack;
-  rolling_updates_.fetch_add(1, std::memory_order_relaxed);
-  rollbacks_.fetch_add(1, std::memory_order_relaxed);
-  return report;
-}
-
-Status ScoringFleet::EjectShard(size_t s) {
-  if (s >= servers_.size()) {
-    return Status::OutOfRange(StrFormat("EjectShard: shard %zu of %zu", s,
-                                        servers_.size()));
-  }
-  if (servers_.size() == 1) {
-    return Status::FailedPrecondition(
-        "EjectShard: cannot eject the only shard");
-  }
-  if (!ejected_[s].exchange(true, std::memory_order_acq_rel)) {
-    ejections_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
-Status ScoringFleet::ReadmitShard(size_t s) {
-  if (s >= servers_.size()) {
-    return Status::OutOfRange(StrFormat("ReadmitShard: shard %zu of %zu", s,
-                                        servers_.size()));
-  }
-  if (ejected_[s].exchange(false, std::memory_order_acq_rel)) {
-    readmissions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
+    (void)server->Quiesce(options.drain_timeout, require_empty_queue);
+    return server->UpdateSnapshot(prior[s]);
+  };
+  return rollouts_.Run(target, options);
 }
 
 Status ScoringFleet::RestartShard(size_t s) {
@@ -415,7 +273,7 @@ Status ScoringFleet::RestartShard(size_t s) {
   // scoring path (every admitted ticket completes). Blocks on in-flight
   // batches — a still-wedged batch holds the restart here.
   old->Stop();
-  restarts_.fetch_add(1, std::memory_order_relaxed);
+  shards_.NoteRestart();
   return Status::OK();
 }
 
@@ -426,13 +284,19 @@ double OutlierRate(const ServerStats::View& view) {
                    static_cast<double>(view.density_checked);
 }
 
-void FleetStatsView::DeriveFleetSignals() {
+void FleetStatsView::DeriveFleetSignals(const ShardAvailability& shards) {
   outlier_rate = OutlierRate(*this);
-  if (shard_versions.empty()) return;
-  auto [lo, hi] =
-      std::minmax_element(shard_versions.begin(), shard_versions.end());
-  min_snapshot_version = *lo;
-  max_snapshot_version = *hi;
+  if (!shard_versions.empty()) {
+    auto [lo, hi] =
+        std::minmax_element(shard_versions.begin(), shard_versions.end());
+    min_snapshot_version = *lo;
+    max_snapshot_version = *hi;
+  }
+  static_cast<ShardAvailability::Counters&>(*this) = shards.counters();
+  shard_ejected.resize(shards.size());
+  for (size_t s = 0; s < shards.size(); ++s) {
+    shard_ejected[s] = shards.ejected(s) ? 1 : 0;
+  }
 }
 
 FleetStatsView ScoringFleet::stats() const {
@@ -446,14 +310,8 @@ FleetStatsView ScoringFleet::stats() const {
     view.shard_outlier_rates.push_back(OutlierRate(s));
     view.shard_completed.push_back(s.completed);
     view.shard_versions.push_back(server->CurrentSnapshot()->version());
-    view.shard_ejected.push_back(ShardEjected(i) ? 1 : 0);
   }
-  view.DeriveFleetSignals();
-  view.rolling_updates = rolling_updates_.load(std::memory_order_relaxed);
-  view.rollbacks = rollbacks_.load(std::memory_order_relaxed);
-  view.ejections = ejections_.load(std::memory_order_relaxed);
-  view.restarts = restarts_.load(std::memory_order_relaxed);
-  view.readmissions = readmissions_.load(std::memory_order_relaxed);
+  view.DeriveFleetSignals(shards_);
   if (auditor_ != nullptr) view.audit = auditor_->view();
   return view;
 }

@@ -23,28 +23,24 @@
 // serves them (the snapshot determinism contract) — sharding changes
 // throughput, never scores.
 //
-// RollingUpdate pushes a new snapshot shard-by-shard: the router stops
-// steering traffic to the shard being updated, a drain barrier
-// (ScoringServer::Quiesce) waits for its queue + in-flight batches to
-// empty, the shard swaps, routing resumes, next shard. At most one shard
-// is ever out of rotation, so the fleet keeps serving throughout, and the
-// barrier guarantees each admitted request scores against one consistent
-// snapshot version. FleetStats reports the per-shard served versions, so
-// mid-rollout skew is observable instead of silent.
+// RollingUpdate pushes a new snapshot shard-by-shard through the fleet
+// core's RolloutDriver (serve/fleet/fleet_core.h: retry with backoff,
+// reverse-order rollback on an exhausted shard), which the remote
+// fleet's PushRolling runs too. Here a shard's swap is a drain barrier
+// (ScoringServer::Quiesce: its queue + in-flight batches empty) then
+// UpdateSnapshot, so each admitted request scores against one
+// consistent snapshot version; the revert drains and swaps the prior
+// snapshot back (through a barrier that stalls again: per-batch
+// isolation keeps that safe). At most one shard is out of rotation at a
+// time, and FleetStats reports per-shard served versions, so
+// mid-rollout skew is observable.
 //
-// Failure handling (this layer's robustness contract):
-//   - A shard whose drain barrier stalls is RETRIED with exponential
-//     backoff + deterministic jitter; between attempts it is back in
-//     rotation, so a stalled rollout never starves a shard.
-//   - When a shard exhausts its attempts, the rollout ROLLS BACK:
-//     already-updated shards return to their prior snapshots in reverse
-//     order through the same drain barrier, so the fleet is never left
-//     version-skewed. The report's terminal state says which way it went.
-//   - A wedged or dead shard can be EJECTED from routing (all three
-//     policies skip it; the hash policy rendezvous-reassigns its keys
-//     deterministically to survivors), RESTARTED with its current
-//     snapshot, and READMITTED — see serve/fleet/health.h for the
-//     monitor that automates this.
+// A wedged or dead shard can be EJECTED from routing (all three
+// policies skip it; the hash policy rendezvous-reassigns its keys
+// deterministically to survivors), RESTARTED with its current snapshot,
+// and READMITTED — see serve/fleet/health.h for the monitor that
+// automates this. The core's ejection rule never ejects the last
+// routable shard.
 
 #ifndef FAIRDRIFT_SERVE_FLEET_FLEET_H_
 #define FAIRDRIFT_SERVE_FLEET_FLEET_H_
@@ -56,6 +52,7 @@
 #include <vector>
 
 #include "serve/audit/auditor.h"
+#include "serve/fleet/fleet_core.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "serve/ticket.h"
@@ -138,83 +135,12 @@ struct FleetOptions {
   AuditOptions audit;
 };
 
-/// Per-shard drain + swap schedule knobs.
-struct RollingUpdateOptions {
-  /// How long the drain barrier waits for one shard to empty before the
-  /// attempt counts as failed.
-  std::chrono::nanoseconds drain_timeout = std::chrono::seconds(10);
-  /// Drain/swap attempts per shard before the rollout gives up on it.
-  size_t max_attempts_per_shard = 3;
-  /// Backoff before the second attempt; doubles (backoff_multiplier)
-  /// each further attempt. The shard is back in rotation while waiting.
-  std::chrono::nanoseconds initial_backoff = std::chrono::milliseconds(10);
-  double backoff_multiplier = 2.0;
-  /// Jitter fraction: each wait is scaled by a factor drawn uniformly
-  /// from [1 - jitter, 1 + jitter] — deterministically from
-  /// backoff_seed, so a fault-injected rollout replays exactly.
-  double backoff_jitter = 0.25;
-  uint64_t backoff_seed = 0;
-  /// On exhausted retries, roll already-updated shards back to their
-  /// prior snapshots (reverse order, same drain barrier) so the fleet
-  /// exits with zero version skew. false restores the legacy abort:
-  /// the rollout fails DeadlineExceeded with updated shards keeping the
-  /// new snapshot (skew visible in FleetStats until a later rollout).
-  bool rollback_on_failure = true;
-};
-
-/// How a rolling update terminated.
-enum class RolloutState : uint8_t {
-  /// Every shard drained and swapped to the new snapshot.
-  kCommitted = 0,
-  /// A shard exhausted its attempts; updated shards were rolled back to
-  /// their prior snapshots. The fleet exits with zero version skew.
-  kRolledBack = 1,
-};
-
-const char* RolloutStateName(RolloutState state);
-
-/// One shard's slice of a rolling update.
-struct ShardRolloutReport {
-  size_t shard = 0;
-  /// Drain/swap attempts consumed (1 = first try succeeded).
-  size_t attempts = 0;
-  /// The shard swapped to the new snapshot (possibly rolled back later).
-  bool updated = false;
-  /// The shard was returned to its prior snapshot by a rollback.
-  bool rolled_back = false;
-  /// Successful-attempt drain-barrier stall (out-of-rotation time).
-  double stall_ms = 0.0;
-  /// Rollback drain-barrier stall, when rolled_back.
-  double rollback_stall_ms = 0.0;
-  /// Last attempt error (empty when the first attempt succeeded).
-  std::string last_error;
-};
-
-/// What one rolling update did: how many shards swapped, how long each
-/// shard's drain barrier stalled it (its only out-of-rotation time —
-/// the fleet as a whole never stops serving), and per-shard
-/// attempt/outcome detail with the terminal committed/rolled-back state.
-struct RollingUpdateReport {
-  size_t shards_updated = 0;
-  std::vector<double> shard_stall_ms;
-  double max_stall_ms = 0.0;
-  RolloutState state = RolloutState::kCommitted;
-  std::vector<ShardRolloutReport> shards;
-  /// Drain/swap attempts summed over shards (== num_shards when nothing
-  /// retried).
-  size_t total_attempts = 0;
-  /// Total rollback drain-barrier stall across rolled-back shards.
-  double rollback_stall_ms = 0.0;
-  /// Why the rollout rolled back (empty when committed).
-  std::string failure;
-};
-
 /// Fleet-wide statistics: every shard's ServerStats::View folded with
 /// View::MergeFrom (so fleet percentiles come from the merged latency
 /// histograms, never from averaged per-shard percentiles), plus what
-/// only a fleet has: per-shard load, snapshot-version skew, lifecycle
-/// counters and the audit tier.
-struct FleetStatsView : ServerStats::View {
+/// only a fleet has: per-shard load, snapshot-version skew, the
+/// lifecycle counters of its ShardAvailability set, and the audit tier.
+struct FleetStatsView : ServerStats::View, ShardAvailability::Counters {
   size_t num_shards = 0;
   /// density_outliers / density_checked (0 before any row is checked) —
   /// the fleet drift signal. Computed from the summed counts, not an
@@ -237,26 +163,16 @@ struct FleetStatsView : ServerStats::View {
   /// most one generation during one.
   uint64_t min_snapshot_version = 0;
   uint64_t max_snapshot_version = 0;
-  /// Completed RollingUpdate calls.
-  uint64_t rolling_updates = 0;
-  /// Rolling updates that terminated kRolledBack.
-  uint64_t rollbacks = 0;
-  /// Shards removed from routing (EjectShard — typically the health
-  /// monitor on a wedged/dead shard).
-  uint64_t ejections = 0;
-  /// Shards rebuilt in place with their current snapshot (RestartShard).
-  uint64_t restarts = 0;
-  /// Ejected shards returned to routing (ReadmitShard).
-  uint64_t readmissions = 0;
   /// Per-shard ejected flag (1 = currently out of routing).
   std::vector<uint8_t> shard_ejected;
   /// Fairness audit aggregates (audit.enabled == false when the fleet
   /// was built without the audit tier).
   FleetAuditView audit;
 
-  /// Sets outlier_rate from the folded density counters and the version
-  /// range from shard_versions: both fleets' last step after the fold.
-  void DeriveFleetSignals();
+  /// Sets outlier_rate from the folded density counters, the version
+  /// range from shard_versions, and the lifecycle counters and
+  /// shard_ejected from `shards`: both fleets' last step after the fold.
+  void DeriveFleetSignals(const ShardAvailability& shards);
 };
 
 /// density_outliers / density_checked of one view (0 before any checked
@@ -301,24 +217,21 @@ class ScoringFleet : public ShardDirectory {
   /// shard version consistency during the push matters.
   Status UpdateSnapshot(std::shared_ptr<const ModelSnapshot> snapshot);
 
-  /// Shard-by-shard drain + swap with retry/backoff and rollback (see
-  /// file comment). Serialized against concurrent updates. With
-  /// rollback_on_failure (the default) an exhausted shard yields an OK
-  /// result whose report.state == kRolledBack — the fleet healed itself;
-  /// callers decide whether a rolled-back push is an error. With
-  /// rollback disabled, exhaustion fails DeadlineExceeded (the drained
-  /// shard is always re-entered into rotation first).
+  /// Shard-by-shard drain + swap (see file comment). A rollout that
+  /// rolled back is an OK result with report.state == kRolledBack;
+  /// callers decide whether that is an error.
   Result<RollingUpdateReport> RollingUpdate(
       std::shared_ptr<const ModelSnapshot> snapshot,
       const RollingUpdateOptions& options = {});
 
   /// Removes shard `s` from routing (every policy skips it; the hash
   /// policy rendezvous-reassigns its keys deterministically). Requests
-  /// already queued on the shard still score. Idempotent.
-  Status EjectShard(size_t s);
+  /// already queued on the shard still score. Idempotent; refuses the
+  /// last routable shard (see ShardAvailability::Eject).
+  Status EjectShard(size_t s) { return shards_.Eject(s); }
 
   /// Returns an ejected shard to routing. Idempotent.
-  Status ReadmitShard(size_t s);
+  Status ReadmitShard(size_t s) { return shards_.Readmit(s); }
 
   /// Rebuilds shard `s` in place: a fresh ScoringServer is created with
   /// the shard's current snapshot and options and swapped into the slot;
@@ -354,18 +267,14 @@ class ScoringFleet : public ShardDirectory {
   size_t ShardLoad(size_t s) const override;
 
   /// True while a rolling update is draining shard `s`.
-  bool ShardDraining(size_t s) const {
-    return draining_[s].load(std::memory_order_acquire);
-  }
+  bool ShardDraining(size_t s) const { return shards_.draining(s); }
 
   /// True while shard `s` is ejected from routing.
-  bool ShardEjected(size_t s) const {
-    return ejected_[s].load(std::memory_order_acquire);
-  }
+  bool ShardEjected(size_t s) const { return shards_.ejected(s); }
 
   /// Routable: neither draining nor ejected.
   bool ShardAvailable(size_t s) const override {
-    return !ShardDraining(s) && !ShardEjected(s);
+    return shards_.available(s);
   }
 
  private:
@@ -380,18 +289,12 @@ class ScoringFleet : public ShardDirectory {
   /// free functions; readers take owning refs through shard_ref(). The
   /// vector itself never resizes after Create.
   std::vector<std::shared_ptr<ScoringServer>> servers_;
-  std::unique_ptr<std::atomic<bool>[]> draining_;
-  std::unique_ptr<std::atomic<bool>[]> ejected_;
+  ShardAvailability shards_;
+  RolloutDriver rollouts_{&shards_};
   ShardRouter router_;
-  std::mutex update_mu_;
   /// Serializes RestartShard against itself (slot swaps are atomic for
   /// readers; two concurrent restarts of one shard would leak a stop).
   std::mutex restart_mu_;
-  std::atomic<uint64_t> rolling_updates_{0};
-  std::atomic<uint64_t> rollbacks_{0};
-  std::atomic<uint64_t> ejections_{0};
-  std::atomic<uint64_t> restarts_{0};
-  std::atomic<uint64_t> readmissions_{0};
   std::atomic<bool> stopped_{false};
 };
 

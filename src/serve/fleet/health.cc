@@ -160,8 +160,9 @@ void HealthMonitor::ProbeOnce() {
         if (fleet_->ReadmitShard(s).ok()) ++readmissions_;
       }
       if (verdict.eject) {
-        // EjectShard refuses on a 1-shard fleet — there is nowhere to
-        // send the traffic; the shard stays kDead but routed.
+        // EjectShard refuses the last routable shard — there is nowhere
+        // to send the traffic; the shard stays kDead but routed, and a
+        // later stalled streak asks again.
         if (fleet_->EjectShard(s).ok()) {
           ++ejections_;
           if (options_.auto_restart) to_restart.push_back(s);

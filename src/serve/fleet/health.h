@@ -21,11 +21,14 @@
 // Ejection reroutes new traffic (ScoringFleet::EjectShard — the hash
 // policy rendezvous-reassigns the shard's keys deterministically);
 // requests already queued on the shard stay queued behind the wedge and
-// complete when it releases. Restart (ScoringFleet::RestartShard) swaps
-// in a fresh server with the shard's current snapshot, then drains the
-// old one — so a restart blocks until the wedged batch actually
-// releases; the probe thread rides that out while survivors serve.
-// After K consecutive healthy probes the shard is readmitted.
+// complete when it releases. The fleet core's one ejection rule
+// (serve/fleet/fleet_core.h) never ejects the last routable shard, so a
+// fleet whose every shard wedges keeps one routed. Restart
+// (ScoringFleet::RestartShard) swaps in a fresh server with the shard's
+// current snapshot, then drains the old one — so a restart blocks until
+// the wedged batch actually releases; the probe thread rides that out
+// while survivors serve. After K consecutive healthy probes the shard
+// is readmitted.
 
 #ifndef FAIRDRIFT_SERVE_FLEET_HEALTH_H_
 #define FAIRDRIFT_SERVE_FLEET_HEALTH_H_

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "serve/trace/trace_context.h"
-#include "util/rng.h"
 
 namespace fairdrift {
 namespace net {
@@ -180,6 +179,29 @@ Result<RemoteShardClient::CommitReply> RemoteShardClient::PushCommit() {
   return out;
 }
 
+Result<RemoteShardClient::PushReply> RemoteShardClient::Push(
+    const ChunkedSnapshot& chunked) {
+  Result<std::vector<std::string>> needed = PushManifest(chunked.manifest);
+  if (!needed.ok()) return needed.status();
+  PushReply out;
+  for (const std::string& name : needed.value()) {
+    auto chunk = std::find_if(
+        chunked.chunks.begin(), chunked.chunks.end(),
+        [&name](const SnapshotPayloadChunk& c) { return c.name == name; });
+    if (chunk == chunked.chunks.end()) {
+      return Status::DataLoss("receiver requested chunk '" + name +
+                              "' which is not in the push set");
+    }
+    FAIRDRIFT_RETURN_IF_ERROR(PushChunk(chunk->name, chunk->bytes));
+    ++out.chunks_sent;
+    out.bytes_sent += chunk->bytes.size();
+  }
+  Result<CommitReply> commit = PushCommit();
+  if (!commit.ok()) return commit.status();
+  static_cast<CommitReply&>(out) = std::move(commit).value();
+  return out;
+}
+
 Result<uint64_t> RemoteShardClient::PushRevert() {
   Result<Frame> reply = Call(FrameType::kPushRevert, std::string(),
                              FrameType::kPushRevertReply);
@@ -188,8 +210,15 @@ Result<uint64_t> RemoteShardClient::PushRevert() {
   return r.ReadU64();
 }
 
-RemoteFleet::RemoteFleet(const RemoteFleetOptions& options)
-    : options_(options) {}
+RemoteFleet::RemoteFleet(
+    const RemoteFleetOptions& options,
+    std::vector<std::unique_ptr<RemoteShardClient>> clients)
+    : options_(options),
+      clients_(std::move(clients)),
+      router_(options.routing, clients_.size()),
+      shards_(clients_.size()),
+      last_load_(std::make_unique<std::atomic<size_t>[]>(clients_.size())),
+      probe_states_(clients_.size()) {}
 
 Result<std::unique_ptr<RemoteFleet>> RemoteFleet::Connect(
     const std::vector<std::string>& addresses,
@@ -197,20 +226,17 @@ Result<std::unique_ptr<RemoteFleet>> RemoteFleet::Connect(
   if (addresses.empty()) {
     return Status::InvalidArgument("RemoteFleet: no shard addresses");
   }
-  std::unique_ptr<RemoteFleet> fleet(new RemoteFleet(options));
+  std::vector<std::unique_ptr<RemoteShardClient>> clients;
   for (const std::string& address : addresses) {
     std::string host;
     uint16_t port = 0;
     FAIRDRIFT_RETURN_IF_ERROR(ParseHostPort(address, &host, &port));
-    fleet->clients_.push_back(std::make_unique<RemoteShardClient>(
+    clients.push_back(std::make_unique<RemoteShardClient>(
         std::move(host), port, options.io_timeout));
   }
-  const size_t n = fleet->clients_.size();
-  fleet->router_ = std::make_unique<ShardRouter>(options.routing, n);
-  fleet->ejected_ = std::make_unique<std::atomic<bool>[]>(n);
-  fleet->draining_ = std::make_unique<std::atomic<bool>[]>(n);
-  fleet->last_load_ = std::make_unique<std::atomic<size_t>[]>(n);
-  fleet->probe_states_.resize(n);
+  const size_t n = clients.size();
+  std::unique_ptr<RemoteFleet> fleet(
+      new RemoteFleet(options, std::move(clients)));
   // Fail fast on a misconfigured fleet: every daemon must answer a
   // probe now. This also seeds the stalled-detection baselines.
   for (size_t s = 0; s < n; ++s) {
@@ -296,46 +322,11 @@ void RemoteFleet::ProbeOnce() {
         stalled = true;
         state.have_baseline = false;
       }
-      verdict = state.fsm.Observe(
-          stalled, false, ejected_[s].load(std::memory_order_acquire),
-          limits);
+      verdict = state.fsm.Observe(stalled, false, shards_.ejected(s), limits);
     }
     if (verdict.eject) (void)EjectShard(s);
     if (verdict.readmit) (void)ReadmitShard(s);
   }
-}
-
-Status RemoteFleet::EjectShard(size_t s) {
-  if (s >= clients_.size()) {
-    return Status::InvalidArgument("EjectShard: no such shard");
-  }
-  if (ejected_[s].load(std::memory_order_acquire)) return Status::OK();
-  // Refuse to eject the last routable shard: with nowhere to send the
-  // traffic, failing requests with the shard's own typed errors beats
-  // refusing everything on routing grounds.
-  size_t available = 0;
-  for (size_t i = 0; i < clients_.size(); ++i) {
-    if (i != s && ShardAvailable(i)) ++available;
-  }
-  if (available == 0) {
-    return Status::FailedPrecondition(
-        "EjectShard: shard " + std::to_string(s) +
-        " is the last routable shard");
-  }
-  ejected_[s].store(true, std::memory_order_release);
-  ejections_.fetch_add(1);
-  return Status::OK();
-}
-
-Status RemoteFleet::ReadmitShard(size_t s) {
-  if (s >= clients_.size()) {
-    return Status::InvalidArgument("ReadmitShard: no such shard");
-  }
-  if (!ejected_[s].exchange(false, std::memory_order_acq_rel)) {
-    return Status::OK();
-  }
-  readmissions_.fetch_add(1);
-  return Status::OK();
 }
 
 Result<std::vector<WireRowOutcome>> RemoteFleet::ScoreBatch(
@@ -356,7 +347,7 @@ Result<std::vector<WireRowOutcome>> RemoteFleet::ScoreBatch(
   for (int round = 0; round < 2 && !pending.empty(); ++round) {
     std::map<size_t, std::vector<size_t>> by_shard;
     for (size_t idx : pending) {
-      by_shard[router_->Pick(&rows[idx * width], width, *this)].push_back(idx);
+      by_shard[router_.Pick(&rows[idx * width], width, *this)].push_back(idx);
     }
     std::vector<size_t> failed;
     for (auto& entry : by_shard) {
@@ -376,8 +367,8 @@ Result<std::vector<WireRowOutcome>> RemoteFleet::ScoreBatch(
       // parent is the router's constant tier span.
       FrameTraceContext trace;
       trace.parent_span_id = TraceSpanId(0, "router");
-      Result<std::vector<WireRowOutcome>> reply = clients_[shard]->ScoreBatch(
-          request, options_.propagate_trace ? &trace : nullptr);
+      Result<std::vector<WireRowOutcome>> reply =
+          clients_[shard]->ScoreBatch(request, &trace);
       if (reply.ok() && reply.value().size() == idxs.size()) {
         for (size_t i = 0; i < idxs.size(); ++i) {
           outcomes[idxs[i]] = std::move(reply.value()[i]);
@@ -417,119 +408,19 @@ Result<ScoreResult> RemoteFleet::Score(const std::vector<double>& row,
   return outcome.result;
 }
 
-Status RemoteFleet::PushShard(size_t s, const ChunkedSnapshot& chunked,
-                              uint64_t* version) {
-  RemoteShardClient* client = clients_[s].get();
-  Result<std::vector<std::string>> needed =
-      client->PushManifest(chunked.manifest);
-  if (!needed.ok()) return needed.status();
-  for (const std::string& name : needed.value()) {
-    const SnapshotPayloadChunk* chunk = nullptr;
-    for (const SnapshotPayloadChunk& c : chunked.chunks) {
-      if (c.name == name) {
-        chunk = &c;
-        break;
-      }
-    }
-    if (chunk == nullptr) {
-      return Status::DataLoss("shard requested chunk '" + name +
-                              "' which is not in the push set");
-    }
-    FAIRDRIFT_RETURN_IF_ERROR(client->PushChunk(chunk->name, chunk->bytes));
-  }
-  Result<RemoteShardClient::CommitReply> commit = client->PushCommit();
-  if (!commit.ok()) return commit.status();
-  *version = commit.value().snapshot_version;
-  return Status::OK();
-}
-
 Result<RollingUpdateReport> RemoteFleet::PushRolling(
     const ChunkedSnapshot& chunked, const RollingUpdateOptions& options) {
-  const size_t n = clients_.size();
-  RollingUpdateReport report;
-  report.shards.resize(n);
-  report.shard_stall_ms.assign(n, 0.0);
-  Rng rng(options.backoff_seed);
-  std::vector<size_t> committed;
-  bool failed = false;
-  std::string failure;
-
-  for (size_t s = 0; s < n && !failed; ++s) {
-    ShardRolloutReport& sr = report.shards[s];
-    sr.shard = s;
-    std::chrono::nanoseconds backoff = options.initial_backoff;
-    Status last = Status::OK();
-    for (size_t attempt = 1; attempt <= options.max_attempts_per_shard;
-         ++attempt) {
-      sr.attempts = attempt;
-      ++report.total_attempts;
-      if (attempt > 1) {
-        double factor = rng.Uniform(1.0 - options.backoff_jitter,
-                                    1.0 + options.backoff_jitter);
-        auto wait = std::chrono::nanoseconds(
-            static_cast<int64_t>(backoff.count() * factor));
-        std::this_thread::sleep_for(wait);
-        backoff = std::chrono::nanoseconds(static_cast<int64_t>(
-            backoff.count() * options.backoff_multiplier));
-      }
-      // One shard out of rotation at a time: traffic steers away while
-      // this shard's push conversation runs, exactly like the in-process
-      // rolling update's drain window.
-      draining_[s].store(true, std::memory_order_release);
-      auto t0 = std::chrono::steady_clock::now();
-      uint64_t version = 0;
-      last = PushShard(s, chunked, &version);
-      auto stall = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-      draining_[s].store(false, std::memory_order_release);
-      if (last.ok()) {
-        sr.updated = true;
-        sr.stall_ms = stall;
-        report.shard_stall_ms[s] = stall;
-        report.max_stall_ms = std::max(report.max_stall_ms, stall);
-        ++report.shards_updated;
-        committed.push_back(s);
-        break;
-      }
-      sr.last_error = last.message();
-    }
-    if (!last.ok()) {
-      failed = true;
-      failure = "shard " + std::to_string(s) + ": " + last.message();
-    }
-  }
-
-  rolling_updates_.fetch_add(1);
-  if (failed) {
-    if (!options.rollback_on_failure) {
-      return Status::DeadlineExceeded("rolling push exhausted retries (" +
-                                      failure + "); rollback disabled");
-    }
-    // Reverse-order revert so the fleet exits with zero version skew.
-    for (auto it = committed.rbegin(); it != committed.rend(); ++it) {
-      size_t s = *it;
-      draining_[s].store(true, std::memory_order_release);
-      auto t0 = std::chrono::steady_clock::now();
-      Result<uint64_t> reverted = clients_[s]->PushRevert();
-      auto stall = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-      draining_[s].store(false, std::memory_order_release);
-      if (reverted.ok()) {
-        report.shards[s].rolled_back = true;
-        report.shards[s].rollback_stall_ms = stall;
-        report.rollback_stall_ms += stall;
-      } else if (report.shards[s].last_error.empty()) {
-        report.shards[s].last_error =
-            "revert failed: " + reverted.status().message();
-      }
-    }
-    report.state = RolloutState::kRolledBack;
-    report.failure = failure;
-    rollbacks_.fetch_add(1);
-  }
-  return report;
+  RolloutTarget target;
+  target.swap = [&](size_t s, uint64_t* version) {
+    Result<RemoteShardClient::PushReply> pushed = clients_[s]->Push(chunked);
+    if (!pushed.ok()) return pushed.status();
+    *version = pushed.value().snapshot_version;
+    return Status::OK();
+  };
+  target.revert = [this](size_t s) {
+    return clients_[s]->PushRevert().status();
+  };
+  return rollouts_.Run(target, options);
 }
 
 FleetStatsView RemoteFleet::stats() const {
@@ -540,7 +431,6 @@ FleetStatsView RemoteFleet::stats() const {
   view.shard_outlier_rates.assign(n, 0.0);
   view.shard_completed.assign(n, 0);
   view.shard_versions.assign(n, 0);
-  view.shard_ejected.assign(n, 0);
   view.audit.shard_alert_active.assign(n, 0);
   view.audit.shard_windows.assign(n, 0);
   {
@@ -550,7 +440,6 @@ FleetStatsView RemoteFleet::stats() const {
     }
   }
   for (size_t s = 0; s < n; ++s) {
-    view.shard_ejected[s] = ejected_[s].load(std::memory_order_acquire);
     view.queue_depths[s] = last_load_[s].load(std::memory_order_relaxed);
     Result<ServerStats::View> remote = clients_[s]->Stats();
     if (!remote.ok()) continue;  // unreachable shard contributes nothing
@@ -573,11 +462,7 @@ FleetStatsView RemoteFleet::stats() const {
       ++view.audit.shards_alerting;
     }
   }
-  view.DeriveFleetSignals();
-  view.rolling_updates = rolling_updates_.load();
-  view.rollbacks = rollbacks_.load();
-  view.ejections = ejections_.load();
-  view.readmissions = readmissions_.load();
+  view.DeriveFleetSignals(shards_);
   return view;
 }
 

@@ -23,13 +23,11 @@
 //     RPC failed OR the daemon reports pending work with no completed
 //     progress — ejecting dead daemons and readmitting them after K
 //     healthy probes (e.g. after an operator restarts the process).
+//   - Both ejectors go through the fleet core (serve/fleet/fleet_core.h)
+//     ShardAvailability set: the last routable shard is never ejected.
 //
-// PushRolling drives the incremental snapshot push across the fleet
-// with ScoringFleet::RollingUpdate's semantics: one shard out of
-// rotation at a time, per-shard retry with deterministic
-// backoff+jitter, and on exhaustion a reverse-order revert of every
-// already-committed shard (kPushRevert) so the fleet never stays
-// version-skewed.
+// PushRolling runs the core's RolloutDriver, as RollingUpdate does; a
+// shard's swap is RemoteShardClient::Push, its revert kPushRevert.
 
 #ifndef FAIRDRIFT_SERVE_NET_REMOTE_FLEET_H_
 #define FAIRDRIFT_SERVE_NET_REMOTE_FLEET_H_
@@ -102,6 +100,14 @@ class RemoteShardClient {
   };
   Result<CommitReply> PushCommit();
 
+  /// The whole push conversation: PushManifest, each chunk the receiver
+  /// asks for, then PushCommit.
+  struct PushReply : CommitReply {
+    size_t chunks_sent = 0;
+    uint64_t bytes_sent = 0;
+  };
+  Result<PushReply> Push(const ChunkedSnapshot& chunked);
+
   /// Rolls the daemon back to its pre-commit snapshot; returns the
   /// version it serves again.
   Result<uint64_t> PushRevert();
@@ -135,11 +141,6 @@ struct RemoteFleetOptions {
   /// ShardHealthFsm thresholds (same meaning as HealthMonitorOptions).
   size_t dead_after_stalled_probes = 3;
   size_t readmit_after_healthy_probes = 3;
-  /// Attach the trace extension to forwarded score frames, so sampled
-  /// rows on the daemons parent under the router's tier span. Turn off
-  /// only when fronting daemons from a pre-trace protocol build (they
-  /// reject the flag rather than desynchronize).
-  bool propagate_trace = true;
 };
 
 /// Router over N remote shard daemons. See file comment.
@@ -170,11 +171,9 @@ class RemoteFleet : public ShardDirectory {
       const std::vector<double>& row,
       std::chrono::nanoseconds deadline = std::chrono::nanoseconds{0});
 
-  /// Incremental rolling push (see file comment). Returns the same
-  /// report shape as ScoringFleet::RollingUpdate: kCommitted when every
-  /// shard took the push, kRolledBack (an OK result — the fleet healed
-  /// itself) when a shard exhausted its attempts and the committed
-  /// shards were reverted in reverse order.
+  /// Incremental rolling push (see file comment), with the report of
+  /// ScoringFleet::RollingUpdate; each committed entry's `version` is
+  /// what its daemon committed.
   Result<RollingUpdateReport> PushRolling(
       const ChunkedSnapshot& chunked,
       const RollingUpdateOptions& options = {});
@@ -191,8 +190,8 @@ class RemoteFleet : public ShardDirectory {
   void ProbeOnce();
 
   /// Manual ejection/readmission (the prober does this automatically).
-  Status EjectShard(size_t s);
-  Status ReadmitShard(size_t s);
+  Status EjectShard(size_t s) { return shards_.Eject(s); }
+  Status ReadmitShard(size_t s) { return shards_.Readmit(s); }
 
   /// Stops the prober and closes all connections. Idempotent.
   void Stop();
@@ -202,31 +201,27 @@ class RemoteFleet : public ShardDirectory {
   // ShardDirectory (the routing policies' view):
   size_t num_shards() const override { return clients_.size(); }
   bool ShardAvailable(size_t s) const override {
-    return !ejected_[s].load(std::memory_order_acquire) &&
-           !draining_[s].load(std::memory_order_acquire);
+    return shards_.available(s);
   }
   size_t ShardLoad(size_t s) const override {
     return last_load_[s].load(std::memory_order_relaxed);
   }
 
   /// Lifecycle counters (mirrors the FleetStatsView fields).
-  uint64_t ejections() const { return ejections_.load(); }
-  uint64_t readmissions() const { return readmissions_.load(); }
+  uint64_t ejections() const { return shards_.counters().ejections; }
+  uint64_t readmissions() const { return shards_.counters().readmissions; }
 
  private:
-  explicit RemoteFleet(const RemoteFleetOptions& options);
+  RemoteFleet(const RemoteFleetOptions& options,
+              std::vector<std::unique_ptr<RemoteShardClient>> clients);
 
   void ProbeLoop();
-  /// One shard's complete push conversation (manifest -> chunks ->
-  /// commit). Fills `version` with the committed snapshot version.
-  Status PushShard(size_t s, const ChunkedSnapshot& chunked,
-                   uint64_t* version);
 
   RemoteFleetOptions options_;
   std::vector<std::unique_ptr<RemoteShardClient>> clients_;
-  std::unique_ptr<ShardRouter> router_;
-  std::unique_ptr<std::atomic<bool>[]> ejected_;
-  std::unique_ptr<std::atomic<bool>[]> draining_;
+  ShardRouter router_;
+  ShardAvailability shards_;
+  RolloutDriver rollouts_{&shards_};
   std::unique_ptr<std::atomic<size_t>[]> last_load_;
 
   // Prober state (probe thread or ProbeOnce callers; serialized by mu_).
@@ -242,11 +237,6 @@ class RemoteFleet : public ShardDirectory {
   bool stop_requested_ = false;
   std::thread probe_thread_;
   std::once_flag stop_once_;
-
-  std::atomic<uint64_t> ejections_{0};
-  std::atomic<uint64_t> readmissions_{0};
-  std::atomic<uint64_t> rolling_updates_{0};
-  std::atomic<uint64_t> rollbacks_{0};
 };
 
 }  // namespace net

@@ -54,118 +54,54 @@ Result<std::unique_ptr<ShardDaemon>> ShardDaemon::Start(
     daemon->current_chunks_[chunk.name] = std::move(chunk.bytes);
   }
 
-  Result<TcpListener> listener = TcpListener::Listen(options.host,
-                                                     options.port);
-  if (!listener.ok()) return listener.status();
-  daemon->listener_ = std::move(listener).value();
-
   ShardDaemon* raw = daemon.get();
-  daemon->accept_thread_ = std::thread([raw] { raw->AcceptLoop(); });
+  Result<std::unique_ptr<FrameServer>> frames = FrameServer::Start(
+      options.host, options.port, options.io_timeout,
+      [raw](const Frame& frame) { return raw->HandleFrame(frame); });
+  if (!frames.ok()) return frames.status();
+  daemon->frames_ = std::move(frames).value();
   return daemon;
 }
 
 ShardDaemon::~ShardDaemon() { Stop(); }
 
 void ShardDaemon::Stop() {
-  // call_once serializes concurrent stoppers: exactly one runs the join
-  // sequence, and every caller returns only after it has completed --
-  // no two threads ever join the same std::thread.
-  std::call_once(stop_once_, [this] { StopImpl(); });
-}
-
-void ShardDaemon::StopImpl() {
-  stop_.store(true);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<ConnThread> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (ConnThread& c : conns) {
-    if (c.thread.joinable()) c.thread.join();
-  }
-  listener_.Close();
-  if (server_) server_->Stop();
+  std::call_once(stop_once_, [this] {
+    if (frames_) frames_->Stop();
+    if (server_) server_->Stop();
+  });
 }
 
 ShardDaemon::Counters ShardDaemon::counters() const {
-  std::lock_guard<std::mutex> lock(counter_mu_);
-  return counters_;
-}
-
-void ShardDaemon::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    ReapFinishedConnections();
-    Result<TcpConnection> conn = listener_.Accept(options_.poll_tick);
-    if (!conn.ok()) continue;  // poll tick elapsed, or a transient failure
-    {
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.connections_accepted;
-    }
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.push_back(ConnThread{
-        std::thread(&ShardDaemon::ServeConnection, this,
-                    std::move(conn).value(), done),
-        done});
+  Counters c;
+  {
+    std::lock_guard<std::mutex> lock(counter_mu_);
+    c = counters_;
   }
-}
-
-void ShardDaemon::ReapFinishedConnections() {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (auto it = conn_threads_.begin(); it != conn_threads_.end();) {
-    if (it->done->load(std::memory_order_acquire)) {
-      it->thread.join();
-      it = conn_threads_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ShardDaemon::ServeConnection(TcpConnection conn,
-                                  std::shared_ptr<std::atomic<bool>> done) {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    // Idle connections park in short readability polls so Stop() is
-    // never stuck behind a silent peer; only an actual frame start pays
-    // the full io_timeout read.
-    if (!conn.WaitReadable(options_.poll_tick)) continue;
-    Result<Frame> frame = ReadFrame(conn, options_.io_timeout);
-    if (!frame.ok()) {
-      // kUnavailable here is normally just the peer hanging up; anything
-      // else (checksum, desync, timeout) is worth reporting back if the
-      // socket still works. Either way this connection is done — a
-      // desynchronized stream cannot be re-framed.
-      if (frame.status().code() != StatusCode::kUnavailable) {
-        std::lock_guard<std::mutex> lock(counter_mu_);
-        ++counters_.frame_errors;
-      }
-      (void)WriteErrorFrame(conn, frame.status(), options_.io_timeout);
-      break;
-    }
-    Frame reply = HandleFrame(frame.value());
-    {
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.frames_served;
-      if (reply.type == FrameType::kError) ++counters_.frame_errors;
-    }
-    if (!WriteFrame(conn, reply.type, reply.payload, options_.io_timeout)
-             .ok()) {
-      break;
-    }
-  }
-  conn.Close();
-  done->store(true, std::memory_order_release);
+  static_cast<FrameServer::Counters&>(c) = frames_->counters();
+  return c;
 }
 
 Frame ShardDaemon::HandleFrame(const Frame& frame) {
   switch (frame.type) {
     case FrameType::kScoreBatch:
       return HandleScoreBatch(frame);
-    case FrameType::kHealthProbe:
-      return HandleHealthProbe();
-    case FrameType::kStatsSnapshot:
-      return HandleStatsSnapshot();
+    case FrameType::kHealthProbe: {
+      WireHealthProbe probe;
+      probe.completed = server_->stats().completed;
+      probe.queue_depth = server_->queue_depth();
+      probe.inflight_batches = server_->inflight_batches();
+      probe.snapshot_version = server_->CurrentSnapshot()->version();
+      BinaryWriter w;
+      SerializeHealthProbe(probe, &w);
+      return Frame{FrameType::kHealthProbeReply, std::move(w).TakeBuffer()};
+    }
+    case FrameType::kStatsSnapshot: {
+      BinaryWriter w;
+      SerializeStatsView(server_->stats(), &w);
+      return Frame{FrameType::kStatsSnapshotReply,
+                   std::move(w).TakeBuffer()};
+    }
     case FrameType::kMetrics:
       return HandleMetrics();
     case FrameType::kPushManifest:
@@ -181,13 +117,6 @@ Frame ShardDaemon::HandleFrame(const Frame& frame) {
           std::string("shard daemon cannot serve frame type ") +
           FrameTypeName(frame.type)));
   }
-}
-
-Frame ShardDaemon::ErrorFrame(const Status& error) {
-  BinaryWriter w;
-  w.WriteU8(static_cast<uint8_t>(error.code()));
-  w.WriteString(error.message());
-  return Frame{FrameType::kError, std::move(w).TakeBuffer()};
 }
 
 Frame ShardDaemon::HandleScoreBatch(const Frame& frame) {
@@ -251,23 +180,6 @@ Frame ShardDaemon::HandleScoreBatch(const Frame& frame) {
     }
   }
   return reply;
-}
-
-Frame ShardDaemon::HandleHealthProbe() {
-  WireHealthProbe probe;
-  probe.completed = server_->stats().completed;
-  probe.queue_depth = server_->queue_depth();
-  probe.inflight_batches = server_->inflight_batches();
-  probe.snapshot_version = server_->CurrentSnapshot()->version();
-  BinaryWriter w;
-  SerializeHealthProbe(probe, &w);
-  return Frame{FrameType::kHealthProbeReply, std::move(w).TakeBuffer()};
-}
-
-Frame ShardDaemon::HandleStatsSnapshot() {
-  BinaryWriter w;
-  SerializeStatsView(server_->stats(), &w);
-  return Frame{FrameType::kStatsSnapshotReply, std::move(w).TakeBuffer()};
 }
 
 Frame ShardDaemon::HandleMetrics() {

@@ -1,14 +1,13 @@
 // ShardDaemon: one ScoringServer behind the wire.
 //
-// The daemon wraps a single in-process ScoringServer with a TCP
-// listener speaking net/frame.h frames: score-batch, health-probe,
-// stats-snapshot, and the three-phase snapshot-push RPCs
-// (manifest -> chunks -> commit, plus revert). One accept loop polls
-// the listener (reaping finished handler threads each tick); each
-// accepted connection gets its own handler thread with deadline-bounded
-// reads, so a frame-level error on one
-// connection (checksum mismatch, injected partial read, dead client)
-// closes that connection and nothing else.
+// The daemon wraps a single in-process ScoringServer with a
+// net::FrameServer (net/frame_server.h: the listener, one thread per
+// connection, deadline-bounded frame I/O) speaking net/frame.h frames:
+// score-batch, health-probe, stats-snapshot, metrics, and the
+// three-phase snapshot-push RPCs (manifest -> chunks -> commit, plus
+// revert). The daemon itself is the frame handler. Stop() stops the
+// frame server fully (every connection thread joined) before it stops
+// the ScoringServer, so no handler ever submits to a stopped server.
 //
 // Push protocol (receiver side):
 //   kPushManifest  the pusher's SnapshotManifest. The daemon diffs it
@@ -33,17 +32,14 @@
 #ifndef FAIRDRIFT_SERVE_NET_SHARD_DAEMON_H_
 #define FAIRDRIFT_SERVE_NET_SHARD_DAEMON_H_
 
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "net/frame.h"
-#include "net/socket.h"
+#include "net/frame_server.h"
 #include "serve/server.h"
 #include "serve/snapshot_manifest.h"
 #include "serve/trace/trace_log.h"
@@ -65,8 +61,6 @@ struct ShardDaemonOptions {
   /// Per-frame send/receive deadline. A peer that stalls mid-frame is
   /// disconnected with kDeadlineExceeded rather than wedging a handler.
   std::chrono::milliseconds io_timeout = std::chrono::milliseconds(5000);
-  /// Accept/readability poll tick (stop-flag latency bound).
-  std::chrono::milliseconds poll_tick = std::chrono::milliseconds(50);
   /// How strictly pushed payloads parse. kAllowPartial (default) lets a
   /// push whose monitor tail is damaged serve degraded, mirroring the
   /// file loader.
@@ -94,7 +88,7 @@ class ShardDaemon {
   ShardDaemon& operator=(const ShardDaemon&) = delete;
 
   /// The bound port (resolved for ephemeral binds).
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return frames_->port(); }
 
   /// The wrapped server (test/CLI introspection; the daemon owns it).
   ScoringServer* server() { return server_.get(); }
@@ -102,39 +96,26 @@ class ShardDaemon {
   /// The trace log, or null when tracing is off (test introspection).
   TraceLog* trace_log() { return trace_log_.get(); }
 
-  /// Wire activity counters.
-  struct Counters {
-    uint64_t connections_accepted = 0;
-    uint64_t frames_served = 0;
-    uint64_t frame_errors = 0;   ///< error frames sent to peers
+  /// Wire activity counters: the frame server's, plus the push RPCs'.
+  struct Counters : FrameServer::Counters {
     uint64_t push_commits = 0;
     uint64_t push_reverts = 0;
     uint64_t push_chunks_received = 0;
   };
   Counters counters() const;
 
-  /// Stops accepting, closes connections, and stops the server
-  /// (draining its queue). Idempotent; called by the destructor.
+  /// Stops the frame server (no new connections; every connection
+  /// thread joined), then the ScoringServer (draining its queue).
+  /// Idempotent; called by the destructor.
   void Stop();
 
  private:
   ShardDaemon() = default;
 
-  void AcceptLoop();
-  void StopImpl();
-  /// Joins handler threads whose connection has finished, so a
-  /// long-running daemon never holds a joinable pthread per client it
-  /// has ever served. Runs on the accept loop's poll tick.
-  void ReapFinishedConnections();
-  void ServeConnection(TcpConnection conn,
-                       std::shared_ptr<std::atomic<bool>> done);
   /// Dispatches one request frame; returns the reply frame to send.
   Frame HandleFrame(const Frame& frame);
-  Frame ErrorFrame(const Status& error);
 
   Frame HandleScoreBatch(const Frame& frame);
-  Frame HandleHealthProbe();
-  Frame HandleStatsSnapshot();
   Frame HandleMetrics();
   Frame HandlePushManifest(const Frame& frame);
   Frame HandlePushChunk(const Frame& frame);
@@ -147,19 +128,6 @@ class ShardDaemon {
   /// must be destroyed after the server.
   std::unique_ptr<TraceLog> trace_log_;
   std::unique_ptr<ScoringServer> server_;
-  TcpListener listener_;
-  std::atomic<bool> stop_{false};
-  std::once_flag stop_once_;
-  std::thread accept_thread_;
-
-  /// One handler thread per live connection; `done` flips when the
-  /// handler exits so the accept loop can reap (join) it.
-  struct ConnThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex conn_mu_;
-  std::vector<ConnThread> conn_threads_;
 
   // Push state (one push in flight at a time; conn threads serialize on
   // push_mu_). current_* describes the snapshot the server serves;
@@ -174,8 +142,13 @@ class ShardDaemon {
   SnapshotManifest previous_manifest_;
   std::map<std::string, std::string> previous_chunks_;
 
+  /// The push_* counters (the frame server keeps the rest).
   mutable std::mutex counter_mu_;
   Counters counters_;
+
+  /// Last: everything its handler touches outlives its threads.
+  std::unique_ptr<FrameServer> frames_;
+  std::once_flag stop_once_;
 };
 
 }  // namespace net

@@ -363,40 +363,6 @@ TEST(FaultRolloutTest, ExhaustedRetriesRollBackWithZeroDropsAndZeroSkew) {
   }
 }
 
-TEST(FaultRolloutTest, RollbackDisabledFailsButReentersRotation) {
-  // The legacy abort path: with rollback off, exhaustion fails
-  // DeadlineExceeded — but the satellite skew-bug fix guarantees the
-  // drained shard re-enters rotation before the error returns.
-  std::shared_ptr<const ModelSnapshot> before = MakeSnapshot(37);
-  std::shared_ptr<const ModelSnapshot> after = MakeSnapshot(38);
-  ASSERT_NE(before, nullptr);
-  ASSERT_NE(after, nullptr);
-  FleetOptions options;
-  options.num_shards = 2;
-  Result<std::unique_ptr<ScoringFleet>> fleet =
-      ScoringFleet::Create(before, options);
-  ASSERT_TRUE(fleet.ok());
-
-  FaultGuard guard(9);
-  FaultRule stall;
-  stall.arg = 0;
-  FaultInjector::Global().SetRule("fleet.drain", stall);
-
-  RollingUpdateOptions rolling;
-  rolling.max_attempts_per_shard = 2;
-  rolling.initial_backoff = std::chrono::milliseconds(1);
-  rolling.rollback_on_failure = false;
-  Result<RollingUpdateReport> report =
-      fleet.value()->RollingUpdate(after, rolling);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(fleet.value()->ShardAvailable(0))
-      << "failed shard must be back in rotation";
-  EXPECT_TRUE(fleet.value()->ShardAvailable(1));
-  // Shard 0 never swapped, so the fleet still serves the old version.
-  FleetStatsView stats = fleet.value()->stats();
-  EXPECT_EQ(stats.min_snapshot_version, before->version());
-}
-
 // ------------------------------------------------------------------ health
 
 TEST(FaultHealthTest, WedgedShardEjectedSurvivorsServeThenReadmitted) {

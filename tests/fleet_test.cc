@@ -216,7 +216,7 @@ TEST(FleetTest, RollingUpdateUnderLoadDropsNothing) {
   for (std::thread& t : clients) t.join();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().shards_updated, 3u);
-  EXPECT_EQ(report.value().shard_stall_ms.size(), 3u);
+  EXPECT_EQ(report.value().shards.size(), 3u);
 
   // Zero drops: every submitted ticket completes with a score, each from
   // exactly one of the two versions.

@@ -13,6 +13,9 @@
 //   - Incremental push: only changed-checksum chunks travel or are
 //     rewritten; a committed push advances the served version with the
 //     old snapshot still finishing its in-flight work.
+//   - The router (net::Router) answers like one daemon: scores bitwise,
+//     relayed pushes commit on every daemon, its stats are the fold of
+//     the daemons' views, and a bad request gets a typed error.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +34,7 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "serve/net/remote_fleet.h"
+#include "serve/net/router.h"
 #include "serve/net/shard_daemon.h"
 #include "serve/audit/audit_log.h"
 #include "serve/net/wire.h"
@@ -1453,6 +1457,157 @@ TEST(RemoteFleetTest, LastRoutableShardIsNeverEjected) {
   for (int i = 0; i < 5; ++i) tf.fleet->ProbeOnce();
   EXPECT_EQ(tf.fleet->ejections(), 0u);
   EXPECT_TRUE(tf.fleet->ShardAvailable(0));
+}
+
+// ----------------------------------------------------------------- router
+
+/// Daemons plus a net::Router over them, and a client speaking to the
+/// router exactly as it would to one daemon.
+struct TestRouter {
+  std::vector<std::unique_ptr<ShardDaemon>> daemons;
+  std::unique_ptr<net::Router> router;
+  std::unique_ptr<RemoteShardClient> client;
+};
+
+TestRouter StartRouter(std::shared_ptr<const ModelSnapshot> snapshot,
+                       size_t num_daemons) {
+  TestRouter tr;
+  std::vector<std::string> addresses;
+  for (size_t i = 0; i < num_daemons; ++i) {
+    ShardDaemonOptions options;
+    options.io_timeout = kIo;
+    Result<std::unique_ptr<ShardDaemon>> daemon =
+        ShardDaemon::Start(snapshot, options);
+    EXPECT_TRUE(daemon.ok()) << daemon.status().ToString();
+    if (!daemon.ok()) return tr;
+    addresses.push_back("127.0.0.1:" +
+                        std::to_string(daemon.value()->port()));
+    tr.daemons.push_back(std::move(daemon).value());
+  }
+  RemoteFleetOptions options;
+  options.io_timeout = kIo;
+  options.start_prober = false;
+  Result<std::unique_ptr<net::Router>> router =
+      net::Router::Start(addresses, options, "127.0.0.1", 0);
+  EXPECT_TRUE(router.ok()) << router.status().ToString();
+  if (!router.ok()) return tr;
+  tr.router = std::move(router).value();
+  tr.client = std::make_unique<RemoteShardClient>(
+      "127.0.0.1", tr.router->port(), kIo);
+  return tr;
+}
+
+TEST(RouterTest, ScoresThroughTheRouterBitwiseEqualInProcess) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(131, true);
+  ASSERT_NE(snapshot, nullptr);
+  TestRouter tr = StartRouter(snapshot, 2);
+  ASSERT_NE(tr.client, nullptr);
+  Matrix requests = MakeRequests(64, 133);
+  Result<std::vector<ScoreResult>> want = snapshot->ScoreBatch(requests);
+  ASSERT_TRUE(want.ok());
+  Result<std::vector<WireRowOutcome>> got =
+      tr.client->ScoreBatch(MakeWireRequest(requests));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectOutcomesMatch(got.value(), want.value());
+  EXPECT_GT(tr.daemons[0]->server()->stats().completed, 0u);
+  EXPECT_GT(tr.daemons[1]->server()->stats().completed, 0u);
+}
+
+TEST(RouterTest, RelayedPushCommitsOnBothDaemons) {
+  std::shared_ptr<const ModelSnapshot> before = MakeSnapshot(137, true);
+  std::shared_ptr<const ModelSnapshot> after = MakeSnapshot(139, true);
+  ASSERT_NE(before, nullptr);
+  ASSERT_NE(after, nullptr);
+  TestRouter tr = StartRouter(before, 2);
+  ASSERT_NE(tr.client, nullptr);
+
+  Result<ChunkedSnapshot> chunked = ChunkSnapshot(*after);
+  ASSERT_TRUE(chunked.ok());
+  Result<std::vector<std::string>> needed =
+      tr.client->PushManifest(chunked.value().manifest);
+  ASSERT_TRUE(needed.ok()) << needed.status().ToString();
+  EXPECT_EQ(needed.value().size(), chunked.value().chunks.size())
+      << "the router holds no chunks, so it asks for every one";
+  for (const std::string& name : needed.value()) {
+    size_t idx = chunked.value().manifest.FindChunk(name);
+    ASSERT_NE(idx, static_cast<size_t>(-1)) << name;
+    ASSERT_TRUE(
+        tr.client->PushChunk(name, chunked.value().chunks[idx].bytes).ok());
+  }
+  Result<RemoteShardClient::CommitReply> commit = tr.client->PushCommit();
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+
+  uint64_t lowest = 0;
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(tr.daemons[s]->counters().push_commits, 1u) << "shard " << s;
+    uint64_t served = tr.daemons[s]->server()->CurrentSnapshot()->version();
+    EXPECT_NE(served, before->version()) << "shard " << s;
+    if (lowest == 0 || served < lowest) lowest = served;
+  }
+  EXPECT_EQ(commit.value().snapshot_version, lowest)
+      << "the reply carries the lowest version the daemons committed";
+
+  Matrix requests = MakeRequests(48, 141);
+  Result<std::vector<ScoreResult>> want = after->ScoreBatch(requests);
+  ASSERT_TRUE(want.ok());
+  Result<std::vector<WireRowOutcome>> got =
+      tr.client->ScoreBatch(MakeWireRequest(requests));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectOutcomesMatch(got.value(), want.value());
+}
+
+TEST(RouterTest, StatsSnapshotEqualsTheFoldOfTheDaemonsViews) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(143, true);
+  ASSERT_NE(snapshot, nullptr);
+  TestRouter tr = StartRouter(snapshot, 2);
+  ASSERT_NE(tr.client, nullptr);
+  for (size_t rows : {64, 9, 31}) {
+    Result<std::vector<WireRowOutcome>> got =
+        tr.client->ScoreBatch(MakeWireRequest(MakeRequests(rows, rows)));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+  }
+  ServerStats::View folded;
+  for (const auto& daemon : tr.daemons) {
+    folded.MergeFrom(daemon->server()->stats());
+  }
+  Result<ServerStats::View> routed = tr.client->Stats();
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed.value().completed, 104u);
+  EXPECT_EQ(StatsBytes(routed.value()), StatsBytes(folded));
+}
+
+TEST(RouterTest, UnknownFrameTypeGetsATypedErrorAndTheConnectionLives) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(149, false);
+  ASSERT_NE(snapshot, nullptr);
+  TestRouter tr = StartRouter(snapshot, 1);
+  ASSERT_NE(tr.router, nullptr);
+  Result<TcpConnection> conn =
+      TcpConnection::Connect("127.0.0.1", tr.router->port(), kIo);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ASSERT_TRUE(
+      WriteFrame(conn.value(), FrameType::kScoreBatchReply, "", kIo).ok());
+  Result<Frame> reply = ReadFrame(conn.value(), kIo);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply.value().type, FrameType::kError);
+  EXPECT_EQ(net::StatusFromErrorPayload(reply.value().payload).code(),
+            StatusCode::kInvalidArgument);
+  // A handler error is a reply, not a broken stream.
+  ASSERT_TRUE(WriteFrame(conn.value(), FrameType::kHealthProbe, "", kIo).ok());
+  reply = ReadFrame(conn.value(), kIo);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value().type, FrameType::kHealthProbeReply);
+}
+
+TEST(RouterTest, CommitWithoutAManifestIsFailedPrecondition) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(151, false);
+  ASSERT_NE(snapshot, nullptr);
+  TestRouter tr = StartRouter(snapshot, 1);
+  ASSERT_NE(tr.client, nullptr);
+  Result<RemoteShardClient::CommitReply> commit = tr.client->PushCommit();
+  ASSERT_FALSE(commit.ok());
+  EXPECT_EQ(commit.status().code(), StatusCode::kFailedPrecondition)
+      << commit.status().ToString();
+  EXPECT_EQ(tr.daemons[0]->counters().push_commits, 0u);
 }
 
 // ------------------------------------------------------ injected net faults
