@@ -374,15 +374,16 @@ int CmdSnapshotSave(const CliFlags& flags) {
   // OMN calibrates lambda against validation data; carve a split off
   // the dataset for it. The non-calibrating methods train on everything.
   size_t train_size = data->size();
+  FitStageSeconds stages;
   auto build = [&]() -> Result<std::shared_ptr<const ModelSnapshot>> {
     if (spec.method == Method::kOmnifair) {
       Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
       Result<TrainValTest> split = SplitTrainValTest(*data, &rng, 0.85, 0.15);
       if (!split.ok()) return split.status();
       train_size = split->train.size();
-      return BuildSnapshot(split->train, split->val, spec);
+      return BuildSnapshot(split->train, split->val, spec, &stages);
     }
-    return BuildSnapshot(*data, spec);
+    return BuildSnapshot(*data, Dataset(), spec, &stages);
   };
   Result<std::shared_ptr<const ModelSnapshot>> snapshot = build();
   if (Failed(snapshot.status())) return 1;
@@ -396,6 +397,10 @@ int CmdSnapshotSave(const CliFlags& flags) {
               snapshot.value()->has_profile() ? ", profile" : "",
               snapshot.value()->has_density() ? ", density monitor" : "",
               train_size, path.c_str());
+  std::printf("fit stages: encoder %.3f s, intervention %.3f s, learner "
+              "%.3f s, monitor %.3f s\n",
+              stages.encoder, stages.intervention, stages.learner,
+              stages.monitor);
   PrintMonitorFloor(*snapshot.value());
 
   std::string scores_path = flags.GetString("scores-out", "");

@@ -1,6 +1,7 @@
 #include "core/artifacts.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -44,6 +45,12 @@ TrainSpec ServingSpec(Method method) {
 }
 
 namespace {
+
+using StageClock = std::chrono::steady_clock;
+
+double SecondsSince(StageClock::time_point start) {
+  return std::chrono::duration<double>(StageClock::now() - start).count();
+}
 
 /// Fits the drift-monitor density on the fit data's numeric attributes
 /// and derives the outlier floor from that split's own log-densities.
@@ -124,8 +131,10 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
         "Fit: this method needs a group assignment");
   }
 
+  StageClock::time_point stage = StageClock::now();
   Result<FeatureEncoder> encoder = FeatureEncoder::Fit(train);
   if (!encoder.ok()) return encoder.status();
+  const double encoder_s = SecondsSince(stage);
 
   uint64_t learner_seed = rng != nullptr ? rng->Fork().seed()
                                          : spec.learner_seed;
@@ -139,6 +148,7 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
   artifacts.spec = spec;
   artifacts.schema = train.GetSchema();
   artifacts.encoder = encoder.value();
+  artifacts.stage_seconds.encoder = encoder_s;
 
   // The dataset the final model(s) actually fit on: `train` for the
   // non-invasive methods, the repaired copy for CAP. Serving artifacts
@@ -146,6 +156,10 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
   const Dataset* fit_data = &train;
   Dataset repaired;
 
+  // The split-model methods train their learners inside the switch; the
+  // rest of the switch is the intervention.
+  double group_models_s = 0.0;
+  stage = StageClock::now();
   switch (spec.method) {
     case Method::kNoIntervention: {
       artifacts.training_weights = train.weights();
@@ -222,10 +236,12 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
     }
 
     case Method::kMultiModel: {
+      const StageClock::time_point models_start = StageClock::now();
       Result<GroupModelSet> models =
           TrainGroupModels(train, val, *learner, encoder.value(),
                            spec.tune_threshold, "MULTIMODEL");
       if (!models.ok()) return models.status();
+      group_models_s = SecondsSince(models_start);
       artifacts.models = std::move(models.value().models);
       artifacts.fallback_group = models.value().fallback_group;
       artifacts.route = ServingRoute::kGroupMembership;
@@ -242,10 +258,12 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
       if (!profile.ok()) return profile.status();
       artifacts.profile = std::move(profile).value();
       artifacts.has_profile = true;
+      const StageClock::time_point models_start = StageClock::now();
       Result<GroupModelSet> models =
           TrainGroupModels(train, val, *learner, encoder.value(),
                            spec.diffair.tune_thresholds, "DIFFAIR");
       if (!models.ok()) return models.status();
+      group_models_s = SecondsSince(models_start);
       artifacts.models = std::move(models.value().models);
       artifacts.fallback_group = models.value().fallback_group;
       artifacts.route = ServingRoute::kConformance;
@@ -255,8 +273,12 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
     }
   }
 
+  artifacts.stage_seconds.intervention = SecondsSince(stage) - group_models_s;
+  artifacts.stage_seconds.learner = group_models_s;
+
   // Single-model methods: one learner fit on the intervention's weights.
   if (artifacts.models.empty()) {
+    stage = StageClock::now();
     FAIRDRIFT_RETURN_IF_ERROR(FitSingleModel(*fit_data,
                                              artifacts.training_weights, val,
                                              encoder.value(),
@@ -265,19 +287,24 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
     artifacts.models.push_back(std::move(learner));
     artifacts.fallback_group = 0;
     artifacts.route = ServingRoute::kSingleModel;
+    artifacts.stage_seconds.learner += SecondsSince(stage);
   }
 
   // Optional serving artifacts. DIFFAIR and CONFAIR already hold theirs.
   if (spec.include_profile && !artifacts.has_profile) {
+    stage = StageClock::now();
     Result<GroupLabelProfile> profile =
         GroupLabelProfile::Profile(*fit_data, spec.profile);
     if (!profile.ok()) return profile.status();
     artifacts.profile = std::move(profile).value();
     artifacts.has_profile = true;
+    artifacts.stage_seconds.intervention += SecondsSince(stage);
   }
   if (spec.include_density) {
+    stage = StageClock::now();
     FAIRDRIFT_RETURN_IF_ERROR(
         AttachDensityMonitor(*fit_data, spec, &artifacts));
+    artifacts.stage_seconds.monitor = SecondsSince(stage);
   }
   return artifacts;
 }

@@ -141,6 +141,19 @@ enum class ServingRoute {
   kGroupMembership,   ///< MULTI: the tuple's own group's model
 };
 
+/// Wall-clock seconds of Fit's stages. Training-side only: Freeze drops
+/// them, so snapshot bytes never depend on them. The stages are disjoint
+/// spans of one Fit call, so their sum is at most its wall time.
+struct FitStageSeconds {
+  double encoder = 0.0;       ///< FeatureEncoder::Fit
+  /// The intervention's weights, repair or (group x label) profile — for
+  /// CONFAIR the weights and their profile, for DIFFAIR the profile —
+  /// including the density filter and any optional serving profile.
+  double intervention = 0.0;
+  double learner = 0.0;  ///< the deployed model(s)
+  double monitor = 0.0;  ///< the KDE drift monitor and its outlier floor
+};
+
 /// The product of one Fit call: everything Evaluate and Freeze consume.
 /// Move-only (it owns the trained models).
 struct FittedArtifacts {
@@ -179,6 +192,9 @@ struct FittedArtifacts {
   std::shared_ptr<const KernelDensity> density;
   Matrix density_train;
   double density_floor = -std::numeric_limits<double>::infinity();
+
+  /// Where this Fit call's time went.
+  FitStageSeconds stage_seconds;
 };
 
 /// Trains `spec.method` on `split.train`, tuning on `split.val` where the

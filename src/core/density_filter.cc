@@ -17,19 +17,18 @@ struct RankedCell {
   std::vector<size_t> indices;  // dataset row ids of the cell
   size_t keep = 0;              // how many of them to keep
   uint64_t cell_slot = 0;       // g * num_classes + y (fingerprint memo slot)
-  Matrix numeric;
   std::shared_ptr<const KernelDensity> kde;  // null: no numeric attributes
 };
 
 Status FitCell(const Dataset& data, const KdeOptions& options,
                RankedCell* cell) {
-  cell->numeric = data.Subset(cell->indices).NumericMatrix();
-  if (cell->numeric.cols() == 0) return Status::OK();
+  Matrix numeric = data.Subset(cell->indices).NumericMatrix();
+  if (numeric.cols() == 0) return Status::OK();
   // The (dataset version, cell) hint lets the fit cache skip the O(nd)
   // content rehash when the same unmutated dataset is profiled again
   // (tuning grids, repeated trials).
   Result<std::shared_ptr<const KernelDensity>> fitted = FitThroughCache(
-      cell->numeric, options,
+      numeric, options,
       KdeCacheHint{data.version(), cell->cell_slot,
                    kKdeHintSpaceDensityFilterCell});
   if (!fitted.ok()) return fitted.status();
@@ -45,7 +44,8 @@ Result<std::vector<size_t>> DensityFilterIndices(
     return Status::FailedPrecondition(
         "DensityFilter: dataset needs labels and groups");
   }
-  if (options.keep_fraction <= 0.0 || options.keep_fraction > 1.0) {
+  if (!(options.keep_fraction > 0.0 && options.keep_fraction <= 1.0)) {
+    // Written so that NaN fails too: no row count corresponds to it.
     return Status::InvalidArgument(
         "DensityFilter: keep_fraction must be in (0, 1]");
   }
@@ -82,38 +82,20 @@ Result<std::vector<size_t>> DensityFilterIndices(
   }
 
   // Fit the cells in parallel (through the global KdeCache unless the
-  // options opt out), then evaluate every row of every cell in one flat
-  // loop: the pool balances rows, not cells, so one dominant cell spreads
-  // over every worker and many small cells share them alike. Each row's
-  // density is the value the cell's own EvaluateAll would return.
+  // options opt out), then take each cell's top k from its estimator,
+  // one cell at a time: DensestFittedRows spreads a cell over the pool.
   std::vector<Status> fitted = ParallelMap<Status>(
       cells.size(),
       [&](size_t t) { return FitCell(data, options.kde, &cells[t]); });
   for (const Status& st : fitted) FAIRDRIFT_RETURN_IF_ERROR(st);
-  std::vector<size_t> offset(cells.size() + 1, 0);
-  for (size_t t = 0; t < cells.size(); ++t) {
-    offset[t + 1] = offset[t] + (cells[t].kde ? cells[t].numeric.rows() : 0);
-  }
-  std::vector<double> density(offset.back());
-  ParallelForEach(0, density.size(), nullptr, [&](size_t i) {
-    const size_t t = static_cast<size_t>(
-        std::upper_bound(offset.begin(), offset.end(), i) - offset.begin() -
-        1);
-    density[i] =
-        cells[t].kde->Evaluate(cells[t].numeric.RowPtr(i - offset[t]));
-  });
-
-  for (size_t t = 0; t < cells.size(); ++t) {
-    const RankedCell& cell = cells[t];
+  for (const RankedCell& cell : cells) {
     if (!cell.kde) {
       // No numeric attributes to rank on: keep the cell whole.
       kept.insert(kept.end(), cell.indices.begin(), cell.indices.end());
       continue;
     }
-    std::vector<size_t> order =
-        DescendingDensityOrder(density.data() + offset[t], cell.numeric.rows());
-    for (size_t i = 0; i < cell.keep; ++i) {
-      kept.push_back(cell.indices[order[i]]);
+    for (size_t row : cell.kde->DensestFittedRows(cell.keep)) {
+      kept.push_back(cell.indices[row]);
     }
   }
 

@@ -36,6 +36,15 @@ struct DensityFilterOptions {
 /// Returns the indices (into `data`) of the tuples kept by Algorithm 3:
 /// per (group x label) cell, the top `keep_fraction` densest tuples.
 /// Requires labels and groups. Cells too small to rank are kept whole.
+///
+/// Each ranked cell's top k is KernelDensity::DensestFittedRows on the
+/// cell's estimator: exactly the first k of the cell's DensityRanking
+/// (density descending, ties by row), without evaluating every row. One
+/// symmetric dual-tree pass bounds every row's density, the rows those
+/// bounds place inside or outside the top k are settled, and only the
+/// rest (about 3% of MEPS) get the exact evaluation. Cells are fitted in
+/// parallel and ranked one at a time, each spread over the pool.
+/// InvalidArgument when keep_fraction is NaN or outside (0, 1].
 Result<std::vector<size_t>> DensityFilterIndices(
     const Dataset& data, const DensityFilterOptions& options = {});
 

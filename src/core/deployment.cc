@@ -5,7 +5,8 @@
 namespace fairdrift {
 
 Result<std::shared_ptr<const ModelSnapshot>> BuildSnapshot(
-    const Dataset& train, const Dataset& val, const TrainSpec& spec) {
+    const Dataset& train, const Dataset& val, const TrainSpec& spec,
+    FitStageSeconds* stages) {
   if (spec.method == Method::kMultiModel) {
     // Statically unfreezable (membership routing needs the group
     // attribute, which serving requests don't carry) — reject before
@@ -16,6 +17,7 @@ Result<std::shared_ptr<const ModelSnapshot>> BuildSnapshot(
   }
   Result<FittedArtifacts> artifacts = Fit(train, val, spec);
   if (!artifacts.ok()) return artifacts.status();
+  if (stages != nullptr) *stages = artifacts->stage_seconds;
   return Freeze(std::move(artifacts).value());
 }
 

@@ -36,9 +36,11 @@ Result<std::shared_ptr<const ModelSnapshot>> BuildSnapshot(
     const Dataset& train, const TrainSpec& spec = ServingSpec());
 
 /// BuildSnapshot with a validation split for the calibrating methods
-/// (OMN lambda, tuned CONFAIR alpha, threshold tuning).
+/// (OMN lambda, tuned CONFAIR alpha, threshold tuning). When `stages` is
+/// set it receives the Fit call's stage seconds (FittedArtifacts).
 Result<std::shared_ptr<const ModelSnapshot>> BuildSnapshot(
-    const Dataset& train, const Dataset& val, const TrainSpec& spec);
+    const Dataset& train, const Dataset& val, const TrainSpec& spec,
+    FitStageSeconds* stages = nullptr);
 
 /// Freezes the intervention the advisor recommended for `train`:
 /// kConfair -> Method::kConfair, kDiffair -> Method::kDiffair

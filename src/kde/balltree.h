@@ -92,6 +92,11 @@ class BallTree {
                         double threshold, double eps_rel, double eps_abs,
                         TraversalScratch* scratch) const;
 
+  /// The indexed points in node-contiguous order; row t is the caller's
+  /// row order()[t].
+  const Matrix& points() const { return points_; }
+  const std::vector<size_t>& order() const { return order_; }
+
   /// Approximate resident bytes (points + flat node arrays); feeds the
   /// KdeCache's byte-bounded eviction.
   size_t ApproxMemoryBytes() const {

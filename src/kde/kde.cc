@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <numeric>
 
 #include "kde/kde_cache.h"
@@ -44,6 +46,7 @@ Result<KernelDensity> KernelDensity::Fit(const Matrix& data,
   log_norm -= 0.5 * kLogTwoPi * static_cast<double>(data.cols());
   kde.log_norm_ = log_norm;
   kde.atol_ = options.approximation_atol;
+  kde.built_by_fit_ = true;
   kde.BuildClassifyBounds();
   g_fit_count.fetch_add(1, std::memory_order_relaxed);
   return kde;
@@ -211,6 +214,124 @@ Result<double> KernelDensity::LeaveOneOutLogDensityQuantile(
     if (candidates[rank] <= threshold) return candidates[rank];
   }
   return sort_all();
+}
+
+std::vector<size_t> KernelDensity::DensestFittedRows(size_t k,
+                                                     ThreadPool* pool) const {
+  const size_t n = n_;
+  std::vector<size_t> rows;
+  if (k >= n) {
+    rows.resize(n);
+    std::iota(rows.begin(), rows.end(), size_t{0});
+    return rows;
+  }
+  if (k == 0) return rows;
+  const bool kd = backend_ == KdeTreeBackend::kKdTree;
+  const Matrix& points = kd ? tree_.points() : ball_tree_.points();
+  const std::vector<size_t>& order = kd ? tree_.order() : ball_tree_.order();
+
+  // The reference: every fitted row's density, ranked.
+  auto rank_all = [&]() {
+    std::vector<double> at_tree_row(n);
+    ParallelForEach(0, n, pool, [&](size_t t) {
+      at_tree_row[t] = Evaluate(points.RowPtr(t));
+    });
+    std::vector<double> density(n);
+    for (size_t t = 0; t < n; ++t) density[order[t]] = at_tree_row[t];
+    std::vector<size_t> top = DescendingDensityOrder(density.data(), n);
+    top.resize(k);
+    std::sort(top.begin(), top.end());
+    return top;
+  };
+  const double a = atol_ > 0.0 ? atol_ : 0.0;  // as Slack() reads atol_
+  const double norm = std::exp(log_norm_);
+  if (!kd || !built_by_fit_ || !std::isfinite(a) || !(norm > 0.0) ||
+      !std::isfinite(norm)) {
+    return rank_all();
+  }
+  std::vector<double> lo;  // the pass's sum S_t, then the lower bound
+  std::vector<double> hi;  // its skipped charge E_t, then the upper bound
+  if (!tree_.SymmetricKernelSums(inv_bandwidth_.data(), a, pool, &lo, &hi)) {
+    return rank_all();
+  }
+
+  // The bound. Let T_t be the exact kernel sum of fitted point t over all
+  // n points and R_t the kernel sum Evaluate computes (its density is
+  // R_t * norm). With a = the estimator's atol (0 when <= 0 or NaN):
+  //  - The reference settles a near node (kmax/kmin <= e^a) at
+  //    count * sqrt(kmin * kmax), within e^(+-a/2) of each of its points'
+  //    kernels; a far node (kmax <= a) at a value in [0, count * a], as
+  //    are its points' kernels; leaves exactly. Exact mode (a = 0) drops
+  //    only nodes whose whole mass is below 1e-300, at most 2n of them,
+  //    and NegExp flushes kernels below e^-708 to 0. So
+  //      e^(-a/2) T_t - n a - n 1e-299 <= R_t <= e^(a/2) T_t + n a.
+  //  - The pass skips a node pair only when its largest kernel is <= a,
+  //    the reference's own far rule, and charges the skipped mass to
+  //    E_t, so S_t <= T_t <= S_t + E_t.
+  //  - Rounding: NegExp errs below 1e-14 relative, distances by a few
+  //    ulps, and each sum adds at most n terms, all nonnegative; the
+  //    relative margin m = 1e-9 + 4 n eps covers all of it.
+  // Hence R_t lies in [lo_t, hi_t] below, their own rounding included.
+  const double nd = static_cast<double>(n);
+  const double margin =
+      1e-9 + 4.0 * nd * std::numeric_limits<double>::epsilon();
+  const double spread = std::exp(0.5 * a);
+  const double slack = nd * a + nd * 1e-299;
+  for (size_t t = 0; t < n; ++t) {
+    const double s = lo[t];
+    hi[t] = ((s + hi[t]) * spread + slack) * (1.0 + margin);
+    lo[t] = s / spread * (1.0 - margin) - slack * (1.0 + margin);
+    if (!std::isfinite(lo[t]) || !std::isfinite(hi[t])) return rank_all();
+  }
+
+  // The decision. A row is in when its lower bound beats the (k+1)-th
+  // largest upper bound: at most k rows (itself included) have a larger
+  // upper bound, and every other row is below it. A row is out when its
+  // upper bound is below the k-th largest lower bound: at least k rows
+  // are above it. Both comparisons carry the relative margin, and the
+  // winning side's density must be at least 1e-290: then the two
+  // densities differ by far more than the rounding of sum * norm, which
+  // could otherwise tie two nearly equal sums (and a tie goes by index).
+  std::vector<double> scratch(hi);
+  std::nth_element(scratch.begin(),
+                   scratch.begin() + static_cast<ptrdiff_t>(k), scratch.end(),
+                   std::greater<double>());
+  const double hi_next = scratch[k];  // the (k+1)-th largest upper bound
+  scratch = lo;
+  std::nth_element(scratch.begin(),
+                   scratch.begin() + static_cast<ptrdiff_t>(k - 1),
+                   scratch.end(), std::greater<double>());
+  const double lo_kth = scratch[k - 1];  // the k-th largest lower bound
+  std::vector<double>().swap(scratch);
+  constexpr double kLeastDensity = 1e-290;
+  const bool can_exclude = lo_kth * norm >= kLeastDensity;
+  std::vector<size_t> undecided;  // tree rows
+  for (size_t t = 0; t < n; ++t) {
+    if (lo[t] > hi_next * (1.0 + margin) && lo[t] * norm >= kLeastDensity) {
+      rows.push_back(order[t]);
+    } else if (!(can_exclude && hi[t] * (1.0 + margin) < lo_kth)) {
+      undecided.push_back(t);
+    }
+  }
+  // The proof leaves at least k - |in| undecided rows; a shortfall would
+  // mean a broken bound, and the reference answers instead.
+  if (rows.size() > k || k - rows.size() > undecided.size()) return rank_all();
+
+  // The undecided rows, in row order, fill the places left by (density
+  // descending, row index) — the reference order restricted to them.
+  std::sort(undecided.begin(), undecided.end(),
+            [&](size_t x, size_t y) { return order[x] < order[y]; });
+  std::vector<double> density(undecided.size());
+  ParallelForEach(0, undecided.size(), pool, [&](size_t i) {
+    density[i] = Evaluate(points.RowPtr(undecided[i]));
+  });
+  const std::vector<size_t> ranked =
+      DescendingDensityOrder(density.data(), density.size());
+  for (size_t i = 0, left = k - rows.size(); i < left; ++i) {
+    rows.push_back(order[undecided[ranked[i]]]);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
 KernelDensity::ClassifySlack KernelDensity::Slack() const {

@@ -39,9 +39,10 @@ struct KdeOptions {
   double approximation_atol = 1e-4;
   size_t leaf_size = 32;
   KdeTreeBackend tree_backend = KdeTreeBackend::kKdTree;
-  /// When set, DensityRanking (and therefore the density filter) resolves
-  /// its fit through GlobalKdeCache(), so repeated trials / tuning passes
-  /// over identical data reuse one fitted estimator instead of refitting.
+  /// When set, DensityRanking and the density filter resolve their fits
+  /// through GlobalKdeCache() (FitThroughCache in kde_cache.h), so repeated
+  /// trials / tuning passes over identical data reuse one fitted estimator
+  /// instead of refitting.
   /// Identical data + options fit identically, so results are unchanged.
   /// Not part of the cache key.
   bool use_fit_cache = true;
@@ -129,6 +130,24 @@ class KernelDensity {
   /// other than the fit's, or a q that is NaN or outside [0, 1].
   Result<double> LeaveOneOutLogDensityQuantile(
       const Matrix& queries, double q, ThreadPool* pool = nullptr) const;
+
+  /// The k densest fitted rows: exactly the first k entries of
+  /// DescendingDensityOrder(EvaluateAll(fitted rows)) — density
+  /// descending, ties by row index — returned as fitted-row indices in
+  /// ascending order (every row when k >= train_size()). The density
+  /// filter's per-cell top k (core/density_filter.h).
+  ///
+  /// A KD-backed estimator from Fit runs the symmetric dual-tree pass
+  /// (KdTree::SymmetricKernelSums) once, turns its sums into a proven
+  /// interval on each row's Evaluate value (see the bound in kde.cc), and
+  /// places every row whose interval clears the top k's boundary without
+  /// evaluating it; only the rows left undecided get Evaluate, and they
+  /// fill the places left in (density, index) order. A BallTree backend, a
+  /// loaded estimator (its payload is not trusted to hold the layout the
+  /// pass needs), non-finite data or a non-finite bound evaluates every row
+  /// instead. Parallel on `pool`; the result never depends on it.
+  std::vector<size_t> DensestFittedRows(size_t k,
+                                        ThreadPool* pool = nullptr) const;
 
   /// True iff LogDensity(point) < threshold — the density monitor's
   /// outlier predicate — decided from the fit-time per-node bounds
@@ -229,6 +248,8 @@ class KernelDensity {
   double log_norm_ = 0.0;  // log of 1 / (n * prod_j h_j * (2*pi)^(d/2))
   double atol_ = 0.0;
   size_t n_ = 0;
+  /// Set by Fit, not by LoadFittedFrom: the tree has Build's layout.
+  bool built_by_fit_ = false;
 };
 
 namespace kde_internal {

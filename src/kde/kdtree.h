@@ -26,6 +26,7 @@ namespace fairdrift {
 
 class BinaryWriter;  // util/binary_io.h
 class BinaryReader;
+class ThreadPool;  // util/parallel.h
 
 /// Axis-aligned bounding box.
 struct BoundingBox {
@@ -108,6 +109,36 @@ class KdTree {
                         double threshold, double eps_rel, double eps_abs,
                         TraversalScratch* scratch) const;
 
+  /// The symmetric dual-tree pass over every pair of indexed points
+  /// (Gray & Moore, NIPS 2000) behind KernelDensity::DensestFittedRows.
+  /// For tree row t (points() order) it returns sum[t], the sum of
+  /// exp(-0.5 * ||(x_t - x_p) * inv_bandwidth||^2) over the points p its
+  /// node pairs evaluated, p = t included, and skipped[t], the sum over
+  /// the node pairs it skipped of (the other node's count) x (the pair's
+  /// largest kernel, from the two boxes' gap). A pair is skipped only when
+  /// that largest kernel is <= skip_kmax. So, up to rounding, sum[t] <=
+  /// (the exact kernel sum over all points) <= sum[t] + skipped[t].
+  ///
+  /// Each block of two leaves is evaluated once and added to both of its
+  /// sides (a leaf against itself is evaluated whole, a leaf_size share
+  /// of the work). The parallel tasks on `pool` are the pairs of subtrees
+  /// at a depth fixed by size() alone; a task adds into private sums that
+  /// are reduced in task order, so the output is bitwise identical for
+  /// every worker count. Scratch is under 4 * size() doubles beyond the
+  /// outputs.
+  /// Returns false, with the outputs unspecified, when a point or the
+  /// coordinate range is non-finite. Requires the node layout Build makes
+  /// (nested point ranges, shallow depth); a deserialized tree is not
+  /// checked for it, so callers run this on built trees only.
+  bool SymmetricKernelSums(const double* inv_bandwidth, double skip_kmax,
+                           ThreadPool* pool, std::vector<double>* sum,
+                           std::vector<double>* skipped) const;
+
+  /// The indexed points in node-contiguous order; row t is the caller's
+  /// row order()[t].
+  const Matrix& points() const { return points_; }
+  const std::vector<size_t>& order() const { return order_; }
+
   /// The bounding box of all indexed points.
   const BoundingBox& root_box() const { return root_box_; }
 
@@ -149,6 +180,18 @@ class KdTree {
   /// Exact kernel sum over leaf `id`'s contiguous point range.
   double LeafKernelSum(int32_t id, const double* query,
                        const double* inv_bandwidth) const;
+  /// Squared scaled distance between the boxes of nodes a and b.
+  double BoxGapScaledSqDist(int32_t a, int32_t b,
+                            const double* inv_bandwidth) const;
+  /// SymmetricKernelSums' traversal (dual_tree.cc): every pair within
+  /// node a, and every pair across nodes a and b.
+  struct DualSink;
+  void DualSelf(int32_t a, DualSink* sink) const;
+  void DualCross(int32_t a, int32_t b, DualSink* sink) const;
+  /// The kernel block of leaves a x b: row sums into row_sums (leaf a's
+  /// rows from 0), column sums into col_sums unless it is null.
+  void LeafBlock(int32_t a, int32_t b, double* row_sums, double* col_sums,
+                 DualSink* sink) const;
   /// Unscaled squared distance from query to the box (kNN pruning bound).
   double MinSqDist(int32_t id, const double* query) const;
 

@@ -51,11 +51,22 @@ Frame Router::HandleFrame(const Frame& frame) {
       return Frame{FrameType::kScoreBatchReply, std::move(w).TakeBuffer()};
     }
     case FrameType::kHealthProbe: {
-      FleetStatsView stats = fleet_->stats();
+      // The fold of one live probe per daemon: progress, depth and
+      // in-flight batches add up, and the version is the lowest any
+      // daemon serves. An unreachable daemon contributes nothing.
       WireHealthProbe probe;
-      probe.completed = stats.completed;
-      for (size_t depth : stats.queue_depths) probe.queue_depth += depth;
-      probe.snapshot_version = stats.min_snapshot_version;
+      bool any = false;
+      for (size_t s = 0; s < fleet_->num_shards(); ++s) {
+        Result<WireHealthProbe> daemon = fleet_->shard_client(s)->Probe();
+        if (!daemon.ok()) continue;
+        probe.completed += daemon->completed;
+        probe.queue_depth += daemon->queue_depth;
+        probe.inflight_batches += daemon->inflight_batches;
+        if (!any || daemon->snapshot_version < probe.snapshot_version) {
+          probe.snapshot_version = daemon->snapshot_version;
+        }
+        any = true;
+      }
       BinaryWriter w;
       SerializeHealthProbe(probe, &w);
       return Frame{FrameType::kHealthProbeReply, std::move(w).TakeBuffer()};

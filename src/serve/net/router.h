@@ -4,10 +4,11 @@
 //   clients --frames--> [FrameServer -> Router] --RemoteFleet--> daemons
 //
 // Clients speak the protocol of one shard daemon, served on the same
-// net::FrameServer. Scores route by the fleet's policy; health, stats
-// (RemoteFleet::stats(), the MergeFrom fold of the daemons' views) and
-// metrics (the daemons' fairdrift_* families, plus fairdrift_router_*
-// lifecycle counters) answer for the fleet. A push is staged here, every
+// net::FrameServer. Scores route by the fleet's policy; health (the fold
+// of one live probe per daemon), stats (RemoteFleet::stats(), the
+// MergeFrom fold of the daemons' views) and metrics (the daemons'
+// fairdrift_* families, plus fairdrift_router_* lifecycle counters)
+// answer for the fleet. A push is staged here, every
 // chunk of it (the router holds none), and relayed as one PushRolling;
 // the commit reply carries the lowest version a daemon committed, and a
 // rolled-back push is kUnavailable. Other frames get a typed kError.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -273,6 +274,32 @@ TEST(ArtifactsTest, FitRejectsNanDensityQuantile) {
       clamped.value().density_train);
   EXPECT_EQ(clamped.value().density_floor,
             *std::max_element(loo.begin(), loo.end()));
+}
+
+// Fit reports its stage seconds: each non-negative, and together no more
+// than the Fit call's own wall time (the stages are disjoint spans of it).
+TEST(ArtifactsTest, FitTimesItsStages) {
+  Dataset data = MakeData(600, 71);
+  for (Method method : {Method::kConfair, Method::kDiffair,
+                        Method::kNoIntervention, Method::kMultiModel}) {
+    TrainSpec spec = ServingSpec(method);
+    const auto start = std::chrono::steady_clock::now();
+    Result<FittedArtifacts> fitted = Fit(data, Dataset(), spec);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    ASSERT_TRUE(fitted.ok()) << MethodName(method) << ": "
+                             << fitted.status().ToString();
+    const FitStageSeconds& stages = fitted.value().stage_seconds;
+    EXPECT_GE(stages.encoder, 0.0) << MethodName(method);
+    EXPECT_GE(stages.intervention, 0.0) << MethodName(method);
+    EXPECT_GT(stages.learner, 0.0) << MethodName(method);
+    EXPECT_GT(stages.monitor, 0.0) << MethodName(method);
+    EXPECT_LE(stages.encoder + stages.intervention + stages.learner +
+                  stages.monitor,
+              wall)
+        << MethodName(method);
+  }
 }
 
 TEST(ArtifactsTest, MethodNamesStable) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "core/confair.h"
@@ -15,6 +16,7 @@
 #include "core/tuning.h"
 #include "data/split.h"
 #include "datagen/drift.h"
+#include "datagen/realworld.h"
 #include "fairness/report.h"
 #include "linalg/stats.h"
 #include "ml/logistic_regression.h"
@@ -111,6 +113,10 @@ TEST(DensityFilterTest, ValidatesInput) {
   EXPECT_FALSE(DensityFilterIndices(d, opts).ok());
   opts.keep_fraction = 1.5;
   EXPECT_FALSE(DensityFilterIndices(d, opts).ok());
+  opts.keep_fraction = std::numeric_limits<double>::quiet_NaN();
+  Result<std::vector<size_t>> nan_fraction = DensityFilterIndices(d, opts);
+  ASSERT_FALSE(nan_fraction.ok());
+  EXPECT_EQ(nan_fraction.status().code(), StatusCode::kInvalidArgument);
   Dataset no_groups;
   ASSERT_TRUE(no_groups.AddNumericColumn("x", {1, 2}).ok());
   EXPECT_FALSE(DensityFilterIndices(no_groups, {}).ok());
@@ -194,6 +200,18 @@ TEST(DensityFilterTest, MatchesPerCellRankingTopK) {
     EXPECT_EQ(filtered.CellCount(0, 1), 5u);    // under min_cell_size
     EXPECT_EQ(filtered.CellCount(21, 0), 8u);   // at min_cell_size
     EXPECT_EQ(filtered.CellCount(20, 1), 16u);  // 80 rows: ceil(0.2 * 80)
+  }
+}
+
+TEST(DensityFilterTest, MatchesPerCellRankingOnEverySimulatorDataset) {
+  for (const RealDatasetSpec& spec : RealDatasetSuite()) {
+    Result<Dataset> d = MakeRealWorldLike(spec, 0.1);
+    ASSERT_TRUE(d.ok()) << spec.name;
+    DensityFilterOptions opts;
+    opts.kde.use_fit_cache = false;
+    Result<std::vector<size_t>> kept = DensityFilterIndices(d.value(), opts);
+    ASSERT_TRUE(kept.ok()) << spec.name << ": " << kept.status().ToString();
+    EXPECT_EQ(kept.value(), PerCellTopK(d.value(), opts)) << spec.name;
   }
 }
 

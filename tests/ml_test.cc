@@ -3,13 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 
+#include "data/encode.h"
+#include "datagen/realworld.h"
+#include "linalg/cholesky.h"
 #include "ml/decision_tree.h"
 #include "ml/gbt.h"
 #include "ml/logistic_regression.h"
 #include "ml/metrics.h"
 #include "ml/model.h"
 #include "ml/threshold.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace fairdrift {
@@ -183,6 +191,247 @@ TEST(LogisticRegressionTest, CloneUnfittedKeepsHyperparameters) {
   std::unique_ptr<Classifier> clone = lr.CloneUnfitted();
   EXPECT_EQ(clone->name(), "LR");
   EXPECT_FALSE(clone->is_fitted());
+}
+
+// ----------------------------------------------- LR against the dense IRLS
+
+/// LogisticRegression::Fit as it was before its passes skipped zero
+/// columns: every margin, gradient and Hessian pass visits every column.
+/// Kept as the bitwise oracle of the nonzero-only passes.
+struct DenseIrlsFit {
+  Status status;
+  std::vector<double> beta;
+  double intercept = 0.0;
+};
+
+DenseIrlsFit DenseIrlsOracle(const Matrix& x, const std::vector<int>& y,
+                             std::vector<double> weights,
+                             const LogisticRegressionOptions& options) {
+  DenseIrlsFit fit;
+  const size_t n = x.rows();
+  const size_t d = x.cols();
+  if (weights.empty()) weights.assign(n, 1.0);
+  fit.beta.assign(d, 0.0);
+  double wpos = 0.0;
+  double wtot = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    wtot += weights[i];
+    if (y[i] == 1) wpos += weights[i];
+  }
+  if (wtot <= 0.0) {
+    fit.status = Status::InvalidArgument("zero total weight");
+    return fit;
+  }
+  double rate = std::clamp(wpos / wtot, 1e-6, 1.0 - 1e-6);
+  fit.intercept = std::log(rate / (1.0 - rate));
+  std::vector<double>& beta = fit.beta;
+  double& intercept = fit.intercept;
+  std::vector<double> p(n);
+  const size_t dim1 = d + 1;
+  const size_t chunk_size = BoundedReductionChunk(n);
+  const size_t chunks = ReductionChunks(n, chunk_size);
+  const size_t hstride = dim1 * dim1;
+  std::vector<double> grad_partial(chunks * dim1);
+  std::vector<double> hess_partial(chunks * hstride);
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    ParallelForChunks(
+        0, n,
+        [&](size_t, size_t cb, size_t ce) {
+          for (size_t i = cb; i < ce; ++i) {
+            const double* row = x.RowPtr(i);
+            double acc = intercept;
+            for (size_t j = 0; j < d; ++j) acc += beta[j] * row[j];
+            p[i] = acc >= 0.0 ? 1.0 / (1.0 + std::exp(-acc))
+                              : std::exp(acc) / (1.0 + std::exp(acc));
+          }
+        },
+        options.pool);
+    ParallelForChunks(
+        0, n,
+        [&](size_t c, size_t cb, size_t ce) {
+          double* g = grad_partial.data() + c * dim1;
+          double* h = hess_partial.data() + c * hstride;
+          std::fill(g, g + dim1, 0.0);
+          std::fill(h, h + hstride, 0.0);
+          for (size_t i = cb; i < ce; ++i) {
+            const double* row = x.RowPtr(i);
+            double r = weights[i] * (p[i] - static_cast<double>(y[i]));
+            for (size_t j = 0; j < d; ++j) g[j] += r * row[j];
+            g[d] += r;
+            double s = weights[i] * p[i] * (1.0 - p[i]);
+            if (s <= 0.0) continue;
+            for (size_t a = 0; a < d; ++a) {
+              double sa = s * row[a];
+              double* ha = h + a * dim1;
+              for (size_t b = a; b < d; ++b) ha[b] += sa * row[b];
+              ha[d] += sa;
+            }
+            h[d * dim1 + d] += s;
+          }
+        },
+        options.pool, chunk_size);
+    std::vector<double> grad(dim1, 0.0);
+    for (size_t c = 0; c < chunks; ++c) {
+      const double* g = grad_partial.data() + c * dim1;
+      for (size_t j = 0; j < dim1; ++j) grad[j] += g[j];
+    }
+    for (size_t j = 0; j < d; ++j) grad[j] += options.l2_lambda * beta[j];
+    Matrix hess(dim1, dim1, 0.0);
+    for (size_t c = 0; c < chunks; ++c) {
+      const double* h = hess_partial.data() + c * hstride;
+      for (size_t a = 0; a < dim1; ++a) {
+        for (size_t b = a; b < dim1; ++b) hess.At(a, b) += h[a * dim1 + b];
+      }
+    }
+    for (size_t a = 0; a < dim1; ++a) {
+      for (size_t b = a + 1; b < dim1; ++b) hess.At(b, a) = hess.At(a, b);
+    }
+    for (size_t j = 0; j < d; ++j) hess.At(j, j) += options.l2_lambda;
+    Result<std::vector<double>> step = RidgeSolve(hess, grad, 1e-8);
+    if (!step.ok()) {
+      fit.status = Status::NumericalError("Newton step failed");
+      return fit;
+    }
+    double max_update = 0.0;
+    double scale = 1.0;
+    for (double v : step.value()) max_update = std::max(max_update, std::fabs(v));
+    if (max_update > 10.0) scale = 10.0 / max_update;
+    for (size_t j = 0; j < d; ++j) beta[j] -= scale * step.value()[j];
+    intercept -= scale * step.value()[d];
+    if (scale * max_update < options.tolerance) break;
+  }
+  for (double b : beta) {
+    if (!std::isfinite(b)) fit.status = Status::NumericalError("diverged");
+  }
+  if (fit.status.ok() && !std::isfinite(intercept)) {
+    fit.status = Status::NumericalError("intercept diverged");
+  }
+  return fit;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Fits `x` on pools of 0, 1 and 3 workers and expects each fit to
+/// return the oracle's status and, when it succeeds, its bits.
+void ExpectDenseOracleBits(const Matrix& x, const std::vector<int>& y,
+                           const std::vector<double>& w,
+                           const std::string& what) {
+  ThreadPool inline_pool(0);
+  ThreadPool single(1);
+  ThreadPool several(3);
+  for (ThreadPool* pool : {&inline_pool, &single, &several}) {
+    LogisticRegressionOptions options;
+    options.pool = pool;
+    DenseIrlsFit want = DenseIrlsOracle(x, y, w, options);
+    LogisticRegression lr(options);
+    Status got = lr.Fit(x, y, w);
+    const std::string where =
+        what + ", " + std::to_string(pool->num_threads()) + " worker(s)";
+    ASSERT_EQ(got.code(), want.status.code())
+        << where << ": " << got.ToString() << " vs " << want.status.ToString();
+    if (!got.ok()) continue;
+    ASSERT_EQ(lr.coefficients().size(), want.beta.size()) << where;
+    for (size_t j = 0; j < want.beta.size(); ++j) {
+      EXPECT_EQ(Bits(lr.coefficients()[j]), Bits(want.beta[j]))
+          << where << ", coefficient " << j;
+    }
+    EXPECT_EQ(Bits(lr.intercept()), Bits(want.intercept)) << where;
+  }
+}
+
+/// n rows of d columns, each entry nonzero with probability `density`
+/// (Gaussian, so some rows run the sparse loops and some the dense).
+void MakeSparseTask(size_t n, size_t d, double density, uint64_t seed,
+                    Matrix* x, std::vector<int>* y) {
+  Rng rng(seed);
+  *x = Matrix(n, d, 0.0);
+  y->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    double margin = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      if (!rng.Bernoulli(density)) continue;
+      x->At(i, j) = rng.Gaussian();
+      margin += (j % 3 == 0 ? 1.0 : -0.5) * x->At(i, j);
+    }
+    (*y)[i] = rng.Bernoulli(1.0 / (1.0 + std::exp(-margin))) ? 1 : 0;
+  }
+}
+
+TEST(LogisticRegressionSparseTest, EncodedOneHotDataMatchesDenseOracle) {
+  Result<RealDatasetSpec> spec = FindRealDatasetSpec("meps");
+  ASSERT_TRUE(spec.ok());
+  Result<Dataset> data = MakeRealWorldLike(spec.value(), 0.2);
+  ASSERT_TRUE(data.ok());
+  Result<FeatureEncoder> encoder = FeatureEncoder::Fit(data.value());
+  ASSERT_TRUE(encoder.ok());
+  Result<Matrix> x = encoder->Transform(data.value());
+  ASSERT_TRUE(x.ok());
+  ASSERT_GT(x->rows(), 2048u);  // several reduction blocks
+  ExpectDenseOracleBits(x.value(), data->labels(), {}, "unit weights");
+  Rng rng(5);
+  std::vector<double> w(x->rows());
+  for (double& wi : w) wi = rng.Uniform(0.2, 3.0);
+  ExpectDenseOracleBits(x.value(), data->labels(), w, "varied weights");
+}
+
+TEST(LogisticRegressionSparseTest, DenseMatrixMatchesDenseOracle) {
+  Matrix x;
+  std::vector<int> y;
+  MakeSparseTask(3000, 12, 1.0, 61, &x, &y);
+  ExpectDenseOracleBits(x, y, {}, "fully dense");
+}
+
+TEST(LogisticRegressionSparseTest, MixedRowsZeroRowsAndZeroColumn) {
+  Matrix x;
+  std::vector<int> y;
+  // Density 0.45 of 16 columns: rows fall on both sides of half.
+  MakeSparseTask(3000, 16, 0.45, 62, &x, &y);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    x.At(i, 5) = 0.0;                                     // a zero column
+    if (i % 7 == 0) {                                     // all-zero rows
+      for (size_t j = 0; j < x.cols(); ++j) x.At(i, j) = 0.0;
+    }
+    if (i % 5 == 0) {
+      for (size_t j = 0; j < x.cols(); ++j) {
+        if (x.At(i, j) == 0.0) x.At(i, j) = -0.0;         // signed zeros
+      }
+    }
+  }
+  ExpectDenseOracleBits(x, y, {}, "mixed rows");
+}
+
+TEST(LogisticRegressionSparseTest, ZeroWeightsSkipTheHessianAlike) {
+  Matrix x;
+  std::vector<int> y;
+  MakeSparseTask(2500, 20, 0.2, 63, &x, &y);
+  std::vector<double> w(x.rows(), 1.0);
+  for (size_t i = 0; i < w.size(); i += 3) w[i] = 0.0;
+  ExpectDenseOracleBits(x, y, w, "zero weights");
+}
+
+TEST(LogisticRegressionSparseTest, NonFiniteFeaturesReturnTheOracleStatus) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Matrix x;
+    std::vector<int> y;
+    MakeSparseTask(1500, 10, 0.3, 64, &x, &y);
+    x.At(17, 3) = bad;
+    ExpectDenseOracleBits(x, y, {}, "non-finite " + std::to_string(bad));
+  }
+  // Finite, but with its weight the curvature-scaled entry s * x
+  // overflows, and the dense loop's Inf * 0 products turn NaN.
+  Matrix x;
+  std::vector<int> y;
+  MakeSparseTask(1500, 10, 0.3, 65, &x, &y);
+  x.At(3, 1) = 1e308;
+  std::vector<double> w(x.rows(), 1.0);
+  w[3] = 100.0;
+  ExpectDenseOracleBits(x, y, w, "huge entry");
 }
 
 // --------------------------------------------------------- QuantileBinner

@@ -59,6 +59,7 @@ using net::ShardDaemon;
 using net::ShardDaemonOptions;
 using net::TcpConnection;
 using net::TcpListener;
+using net::WireHealthProbe;
 using net::WireRowOutcome;
 using net::WireScoreRequest;
 using net::WriteFrame;
@@ -1574,6 +1575,48 @@ TEST(RouterTest, StatsSnapshotEqualsTheFoldOfTheDaemonsViews) {
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(routed.value().completed, 104u);
   EXPECT_EQ(StatsBytes(routed.value()), StatsBytes(folded));
+}
+
+TEST(RouterTest, HealthProbeIsTheFoldOfTheDaemonsProbes) {
+  std::shared_ptr<const ModelSnapshot> before = MakeSnapshot(153, true);
+  std::shared_ptr<const ModelSnapshot> after = MakeSnapshot(157, true);
+  ASSERT_NE(before, nullptr);
+  ASSERT_NE(after, nullptr);
+  TestRouter tr = StartRouter(before, 2);  // the prober is off
+  ASSERT_NE(tr.client, nullptr);
+  for (size_t rows : {40, 7}) {
+    Result<std::vector<WireRowOutcome>> got =
+        tr.client->ScoreBatch(MakeWireRequest(MakeRequests(rows, rows)));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+  }
+  Result<ChunkedSnapshot> chunked = ChunkSnapshot(*after);
+  ASSERT_TRUE(chunked.ok());
+  Result<RemoteShardClient::PushReply> pushed =
+      tr.client->Push(chunked.value());
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+
+  WireHealthProbe folded;
+  for (size_t s = 0; s < tr.daemons.size(); ++s) {
+    RemoteShardClient direct("127.0.0.1", tr.daemons[s]->port(), kIo);
+    Result<WireHealthProbe> own = direct.Probe();
+    ASSERT_TRUE(own.ok()) << own.status().ToString();
+    folded.completed += own->completed;
+    folded.queue_depth += own->queue_depth;
+    folded.inflight_batches += own->inflight_batches;
+    if (s == 0 || own->snapshot_version < folded.snapshot_version) {
+      folded.snapshot_version = own->snapshot_version;
+    }
+  }
+  Result<WireHealthProbe> routed = tr.client->Probe();
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed->completed, 47u);
+  EXPECT_EQ(routed->completed, folded.completed);
+  EXPECT_EQ(routed->queue_depth, folded.queue_depth);
+  EXPECT_EQ(routed->inflight_batches, folded.inflight_batches);
+  EXPECT_EQ(routed->snapshot_version, folded.snapshot_version);
+  EXPECT_EQ(routed->snapshot_version, pushed->snapshot_version)
+      << "the pushed version, not the one the router last probed";
+  EXPECT_NE(routed->snapshot_version, before->version());
 }
 
 TEST(RouterTest, UnknownFrameTypeGetsATypedErrorAndTheConnectionLives) {
