@@ -1,6 +1,7 @@
 #include "datagen/realworld.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/string_util.h"
@@ -228,6 +229,31 @@ Result<Dataset> MakeRealWorldLike(const RealDatasetSpec& spec, double scale) {
     }
   }
 
+  // A category's sampling probabilities depend only on (attribute,
+  // label, group), so each of the four per attribute is computed once,
+  // indexed by 2 * label + minority.
+  std::vector<std::array<std::vector<double>, 4>> cat_probs(d_cat);
+  for (size_t j = 0; j < d_cat; ++j) {
+    for (int y = 0; y <= 1; ++y) {
+      for (int minority = 0; minority <= 1; ++minority) {
+        std::vector<double>& probs = cat_probs[j][2 * y + minority];
+        int k = cat_sizes[j];
+        probs.resize(static_cast<size_t>(k));
+        double total = 0.0;
+        for (int c = 0; c < k; ++c) {
+          double logit = cat_base[j][static_cast<size_t>(c)] +
+                         (y == 1 ? 1.0 : -1.0) *
+                             cat_label_shift[j][static_cast<size_t>(c)] * 0.5 +
+                         (minority ? 1.0 : -1.0) *
+                             cat_group_shift[j][static_cast<size_t>(c)] * 0.5;
+          probs[static_cast<size_t>(c)] = std::exp(logit);
+          total += probs[static_cast<size_t>(c)];
+        }
+        for (double& p : probs) p /= total;
+      }
+    }
+  }
+
   Matrix x(n, d_num);
   std::vector<std::vector<int>> cats(d_cat, std::vector<int>(n, 0));
   std::vector<int> labels(n);
@@ -253,20 +279,8 @@ Result<Dataset> MakeRealWorldLike(const RealDatasetSpec& spec, double scale) {
       x.At(i, j) = attr_loc[j] + attr_scale[j] * z;
     }
     for (size_t j = 0; j < d_cat; ++j) {
-      int k = cat_sizes[j];
-      std::vector<double> probs(static_cast<size_t>(k));
-      double total = 0.0;
-      for (int c = 0; c < k; ++c) {
-        double logit = cat_base[j][static_cast<size_t>(c)] +
-                       (y == 1 ? 1.0 : -1.0) *
-                           cat_label_shift[j][static_cast<size_t>(c)] * 0.5 +
-                       (minority ? 1.0 : -1.0) *
-                           cat_group_shift[j][static_cast<size_t>(c)] * 0.5;
-        probs[static_cast<size_t>(c)] = std::exp(logit);
-        total += probs[static_cast<size_t>(c)];
-      }
-      for (double& p : probs) p /= total;
-      cats[j][i] = static_cast<int>(rng.Categorical(probs));
+      cats[j][i] = static_cast<int>(
+          rng.Categorical(cat_probs[j][2 * y + (minority ? 1 : 0)]));
     }
     if (spec.label_noise > 0.0 && rng.Bernoulli(spec.label_noise)) y = 1 - y;
     labels[i] = y;

@@ -11,7 +11,7 @@ namespace {
 
 constexpr char kFrameMagic[4] = {'F', 'D', 'R', 'P'};
 constexpr size_t kHeaderSize = 16;   // magic + version + type + flags + size
-constexpr size_t kTrailerSize = 8;   // FNV-1a of (extension ++ payload)
+constexpr size_t kTrailerSize = 8;   // FrameChecksum
 constexpr size_t kTraceExtSize = 16;  // trace id + parent span id
 
 // Byte-wise little-endian decode, mirroring BinaryWriter::WriteU64 --
@@ -32,9 +32,7 @@ uint16_t DecodeU16Le(const char* bytes) {
       (static_cast<unsigned char>(bytes[1]) << 8));
 }
 
-// Shared writer: `trace` null for a plain (historical, byte-identical)
-// frame. The checksum covers extension bytes then payload, so a flipped
-// extension bit is caught exactly like a flipped payload byte.
+// Shared writer: `trace` null for a plain frame.
 Status WriteFrameImpl(TcpConnection& conn, FrameType type,
                       const std::string& payload,
                       const FrameTraceContext* trace,
@@ -50,19 +48,16 @@ Status WriteFrameImpl(TcpConnection& conn, FrameType type,
   w.WriteU8(static_cast<uint8_t>(flags & 0xFF));
   w.WriteU8(static_cast<uint8_t>(flags >> 8));
   w.WriteU64(payload.size());
-  std::string buf = std::move(w).TakeBuffer();
   if (trace != nullptr) {
-    BinaryWriter ext;
-    ext.WriteU64(trace->trace_id);
-    ext.WriteU64(trace->parent_span_id);
-    buf.append(std::move(ext).TakeBuffer());
+    w.WriteU64(trace->trace_id);
+    w.WriteU64(trace->parent_span_id);
   }
+  std::string buf = std::move(w).TakeBuffer();
+  const size_t ext_size = buf.size() - kHeaderSize;
+  buf.reserve(buf.size() + payload.size() + kTrailerSize);
   buf.append(payload);
-  // Everything after the header (extension ++ payload) is checksummed,
-  // so a flipped extension bit is caught like a flipped payload byte.
-  // For a flagless frame this is exactly the historical payload hash.
-  uint64_t checksum =
-      Fnv1aHash(buf.data() + kHeaderSize, buf.size() - kHeaderSize);
+  uint64_t checksum = FrameChecksum(buf.data() + kHeaderSize, ext_size,
+                                    payload.data(), payload.size());
   BinaryWriter trailer;
   trailer.WriteU64(checksum);
   buf.append(std::move(trailer).TakeBuffer());
@@ -70,6 +65,14 @@ Status WriteFrameImpl(TcpConnection& conn, FrameType type,
 }
 
 }  // namespace
+
+uint64_t FrameChecksum(const char* extension, size_t extension_size,
+                       const char* payload, size_t payload_size) {
+  Xxh64 hash;
+  hash.Update(extension, extension_size);
+  hash.Update(payload, payload_size);
+  return hash.Digest();
+}
 
 const char* FrameTypeName(FrameType type) {
   switch (type) {
@@ -137,7 +140,7 @@ Result<Frame> ReadFrame(TcpConnection& conn, std::chrono::milliseconds timeout,
         static_cast<unsigned long long>(payload_size),
         static_cast<unsigned long long>(max_payload)));
   }
-  char ext[kTraceExtSize];
+  char ext[kTraceExtSize] = {};
   if ((flags & kFrameFlagTrace) != 0) {
     st = conn.RecvAll(ext, kTraceExtSize, timeout);
     if (!st.ok()) return st;
@@ -154,16 +157,9 @@ Result<Frame> ReadFrame(TcpConnection& conn, std::chrono::milliseconds timeout,
   st = conn.RecvAll(trailer, kTrailerSize, timeout);
   if (!st.ok()) return st;
   uint64_t stored = DecodeU64Le(trailer);
-  uint64_t actual;
-  if (frame.has_trace) {
-    std::string hashed;
-    hashed.reserve(kTraceExtSize + frame.payload.size());
-    hashed.append(ext, kTraceExtSize);
-    hashed.append(frame.payload);
-    actual = Fnv1aHash(hashed.data(), hashed.size());
-  } else {
-    actual = Fnv1aHash(frame.payload.data(), frame.payload.size());
-  }
+  uint64_t actual =
+      FrameChecksum(ext, frame.has_trace ? kTraceExtSize : 0,
+                    frame.payload.data(), frame.payload.size());
   if (stored != actual) {
     return Status::DataLoss(StrFormat(
         "net: frame checksum mismatch (stored %016llx, computed %016llx)",

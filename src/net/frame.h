@@ -12,16 +12,16 @@
 //   16      16    [flag 0x1 only] trace extension: trace id + parent
 //                 span id, little-endian u64 each
 //   ...     n     payload
-//   ...     8     FNV-1a hash of (extension bytes ++ payload)
+//   ...     8     FrameChecksum: XXH64 of (extension bytes ++ payload)
 //
-// The flags word was written as zero (and ignored on read) by every
-// earlier protocol build, so a flagless frame is byte-identical to the
-// historical layout and an extension-bearing frame degrades cleanly:
-// the only defined flag (kFrameFlagTrace) adds a fixed 16-byte trace
+// Version 1 frames carried an FNV-1a trailer in the same place. The
+// version byte is checked before any checksum, so a v1 peer is refused
+// with kUnavailable, never misread as corruption (kDataLoss).
+//
+// The only defined flag (kFrameFlagTrace) adds a fixed 16-byte trace
 // extension between header and payload, and a reader that understands
 // no flags rejects rather than desynchronizes. Writers only set the
-// flag when they have a sampled trace to propagate, so mixed fleets
-// interoperate as long as traced frames flow toward upgraded peers.
+// flag when they have a sampled trace to propagate.
 //
 // A reply to any request may be the matching *Reply frame or kError,
 // whose payload is {u8 StatusCode, string message}; ReadFrame +
@@ -45,7 +45,7 @@
 namespace fairdrift {
 namespace net {
 
-inline constexpr uint8_t kFrameProtocolVersion = 1;
+inline constexpr uint8_t kFrameProtocolVersion = 2;
 
 /// Default per-frame payload cap. Snapshot chunks are the largest
 /// payloads; 1 GiB bounds a corrupted size field without constraining
@@ -97,6 +97,14 @@ struct Frame {
   bool has_trace = false;
   FrameTraceContext trace;
 };
+
+/// The trailer checksum of a frame whose extension (empty on a flagless
+/// frame) and payload are these bytes: XXH64 (util/binary_io.h) of the
+/// extension followed by the payload, so a flipped extension bit is
+/// caught like a flipped payload bit. WriteFrame writes it and ReadFrame
+/// verifies it.
+uint64_t FrameChecksum(const char* extension, size_t extension_size,
+                       const char* payload, size_t payload_size);
 
 /// Writes one frame (header + payload + checksum) as a single buffered
 /// send. Typed errors from TcpConnection::SendAll pass through.

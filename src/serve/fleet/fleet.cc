@@ -14,7 +14,7 @@ namespace fairdrift {
 namespace {
 
 // SplitMix64 finalizer: the rendezvous weights need a full avalanche of
-// (row hash, shard id) — raw FNV xored with a shard id correlates.
+// (row hash, shard id) — a raw hash xored with a shard id correlates.
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -82,7 +82,7 @@ size_t ShardRouter::Pick(const double* row, size_t width,
     case FleetRoutingPolicy::kHashRow: {
       // The row's raw IEEE-754 bytes hash the same in every process, so
       // a replayed request trace shards identically run after run.
-      uint64_t row_hash = Fnv1aHash(reinterpret_cast<const char*>(row),
+      uint64_t row_hash = Xxh64Hash(reinterpret_cast<const char*>(row),
                                     width * sizeof(double));
       nominal = static_cast<size_t>(row_hash) % num_shards_;
       if (fleet.ShardAvailable(nominal)) return nominal;

@@ -14,7 +14,7 @@
 //   kLeastQueueDepth  balances bursty clients by each shard's queue
 //                     depth + in-flight batches (ServerStats-style load
 //                     signal, sampled racily — good enough to steer).
-//   kHashRow          FNV-1a over the request row's bytes: a given row
+//   kHashRow          XXH64 over the request row's bytes: a given row
 //                     always lands on the same shard, so a replayed
 //                     trace distributes identically run after run.
 //

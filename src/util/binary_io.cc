@@ -10,6 +10,28 @@
 #include "util/string_util.h"
 
 namespace fairdrift {
+namespace {
+
+// Every format here is little-endian; a little-endian host can move
+// whole arrays and hash words with plain loads and memcpy.
+constexpr bool kLittleEndianHost =
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
+
+uint64_t LoadU64Le(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (!kLittleEndianHost) v = __builtin_bswap64(v);
+  return v;
+}
+
+uint32_t LoadU32Le(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (!kLittleEndianHost) v = __builtin_bswap32(v);
+  return v;
+}
+
+}  // namespace
 
 void BinaryWriter::WriteU32(uint32_t v) {
   char bytes[4];
@@ -37,7 +59,15 @@ void BinaryWriter::WriteString(const std::string& s) {
 
 void BinaryWriter::WriteDoubleVector(const std::vector<double>& v) {
   WriteU64(v.size());
-  for (double x : v) WriteDouble(x);
+  if constexpr (kLittleEndianHost) {
+    // The host's doubles already are the wire's little-endian bits.
+    if (!v.empty()) {
+      buffer_.append(reinterpret_cast<const char*>(v.data()),
+                     v.size() * sizeof(double));
+    }
+  } else {
+    for (double x : v) WriteDouble(x);
+  }
 }
 
 void BinaryWriter::WriteU64Vector(const std::vector<size_t>& v) {
@@ -123,13 +153,23 @@ Result<std::vector<double>> BinaryReader::ReadDoubleVector() {
         StrFormat("binary payload truncated: vector claims %llu entries",
                   static_cast<unsigned long long>(len.value())));
   }
-  std::vector<double> v(len.value());
-  for (double& x : v) {
-    Result<double> r = ReadDouble();
-    if (!r.ok()) return r.status();
-    x = r.value();
+  if constexpr (kLittleEndianHost) {
+    Result<const char*> bytes = Take(len.value() * sizeof(double));
+    if (!bytes.ok()) return bytes.status();
+    std::vector<double> v(len.value());
+    if (!v.empty()) {
+      std::memcpy(v.data(), bytes.value(), v.size() * sizeof(double));
+    }
+    return v;
+  } else {
+    std::vector<double> v(len.value());
+    for (double& x : v) {
+      Result<double> r = ReadDouble();
+      if (!r.ok()) return r.status();
+      x = r.value();
+    }
+    return v;
   }
-  return v;
 }
 
 Result<std::vector<size_t>> BinaryReader::ReadU64Vector() {
@@ -173,6 +213,101 @@ uint64_t Fnv1aHash(const char* data, size_t size) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+namespace {
+
+constexpr uint64_t kXxhPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kXxhPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kXxhPrime3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kXxhPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kXxhPrime5 = 0x27D4EB2F165667C5ull;
+
+uint64_t Rotl64(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+uint64_t XxhRound(uint64_t acc, uint64_t input) {
+  acc += input * kXxhPrime2;
+  acc = Rotl64(acc, 31);
+  return acc * kXxhPrime1;
+}
+
+uint64_t XxhMergeRound(uint64_t acc, uint64_t val) {
+  acc ^= XxhRound(0, val);
+  return acc * kXxhPrime1 + kXxhPrime4;
+}
+
+// One 32-byte stripe through the four lanes.
+void XxhStripe(uint64_t acc[4], const char* p) {
+  acc[0] = XxhRound(acc[0], LoadU64Le(p));
+  acc[1] = XxhRound(acc[1], LoadU64Le(p + 8));
+  acc[2] = XxhRound(acc[2], LoadU64Le(p + 16));
+  acc[3] = XxhRound(acc[3], LoadU64Le(p + 24));
+}
+
+}  // namespace
+
+Xxh64::Xxh64()
+    : acc_{kXxhPrime1 + kXxhPrime2, kXxhPrime2, 0, 0 - kXxhPrime1} {}
+
+void Xxh64::Update(const char* data, size_t size) {
+  total_ += size;
+  if (buffered_ + size < sizeof(stripe_)) {
+    if (size > 0) std::memcpy(stripe_ + buffered_, data, size);
+    buffered_ += size;
+    return;
+  }
+  const char* p = data;
+  const char* const end = data + size;
+  if (buffered_ > 0) {
+    const size_t fill = sizeof(stripe_) - buffered_;
+    std::memcpy(stripe_ + buffered_, p, fill);
+    XxhStripe(acc_, stripe_);
+    p += fill;
+    buffered_ = 0;
+  }
+  for (; end - p >= 32; p += 32) XxhStripe(acc_, p);
+  buffered_ = static_cast<size_t>(end - p);
+  if (buffered_ > 0) std::memcpy(stripe_, p, buffered_);
+}
+
+uint64_t Xxh64::Digest() const {
+  uint64_t h;
+  if (total_ >= 32) {
+    h = Rotl64(acc_[0], 1) + Rotl64(acc_[1], 7) + Rotl64(acc_[2], 12) +
+        Rotl64(acc_[3], 18);
+    for (uint64_t lane : acc_) h = XxhMergeRound(h, lane);
+  } else {
+    h = kXxhPrime5;  // seed 0 + prime 5
+  }
+  h += total_;
+  const char* p = stripe_;
+  size_t left = buffered_;
+  for (; left >= 8; p += 8, left -= 8) {
+    h ^= XxhRound(0, LoadU64Le(p));
+    h = Rotl64(h, 27) * kXxhPrime1 + kXxhPrime4;
+  }
+  if (left >= 4) {
+    h ^= static_cast<uint64_t>(LoadU32Le(p)) * kXxhPrime1;
+    h = Rotl64(h, 23) * kXxhPrime2 + kXxhPrime3;
+    p += 4;
+    left -= 4;
+  }
+  for (; left > 0; ++p, --left) {
+    h ^= static_cast<uint64_t>(static_cast<unsigned char>(*p)) * kXxhPrime5;
+    h = Rotl64(h, 11) * kXxhPrime1;
+  }
+  h ^= h >> 33;
+  h *= kXxhPrime2;
+  h ^= h >> 29;
+  h *= kXxhPrime3;
+  h ^= h >> 32;
+  return h;
+}
+
+uint64_t Xxh64Hash(const char* data, size_t size) {
+  Xxh64 hash;
+  hash.Update(data, size);
+  return hash.Digest();
 }
 
 Status WriteFileBytes(const std::string& path, const std::string& payload) {

@@ -33,6 +33,8 @@ class BinaryWriter {
   void WriteDouble(double v);
   /// u64 length followed by the bytes.
   void WriteString(const std::string& s);
+  /// u64 length followed by each element as WriteDouble writes it; a
+  /// little-endian host appends the whole array with one copy.
   void WriteDoubleVector(const std::vector<double>& v);
   /// u64 length followed by the elements (size_t travels as u64).
   void WriteU64Vector(const std::vector<size_t>& v);
@@ -61,6 +63,8 @@ class BinaryReader {
   Result<int32_t> ReadI32();
   Result<double> ReadDouble();
   Result<std::string> ReadString();
+  /// A length the remaining bytes cannot hold fails with DataLoss before
+  /// the vector is allocated.
   Result<std::vector<double>> ReadDoubleVector();
   Result<std::vector<size_t>> ReadU64Vector();
   Result<std::vector<int32_t>> ReadI32Vector();
@@ -77,9 +81,44 @@ class BinaryReader {
   size_t pos_ = 0;
 };
 
+// Two hashes, each fixed by what depends on it:
+//   - Fnv1aHash: byte-serial, an order of magnitude slower than Xxh64,
+//     but persisted or output-fixing everywhere it runs: snapshot,
+//     manifest and chunk checksums, the audit and trace chains
+//     (Fnv1aChain), sampled-monitor row selection and trace-id minting.
+//     Changing it would change files on disk or which rows a replay
+//     samples.
+//   - Xxh64: the frame trailer checksum (net/frame.h) and kHashRow shard
+//     routing (serve/fleet/fleet.h), where nothing is persisted and the
+//     bytes hashed per request make speed matter.
+
 /// FNV-1a over a byte buffer; the snapshot files carry it as a trailing
 /// integrity check so random corruption is detected, not mis-parsed.
 uint64_t Fnv1aHash(const char* data, size_t size);
+
+/// XXH64 with seed 0, the public xxHash 64-bit algorithm (digests match
+/// the reference library's XXH64(data, size, 0)), fed incrementally:
+/// any split of the same bytes across Update calls gives the same
+/// Digest. Reads 8-byte words little-endian, so a digest is the same on
+/// every host and at every alignment.
+class Xxh64 {
+ public:
+  Xxh64();
+  void Update(const char* data, size_t size);
+  /// The digest of every byte passed to Update so far; the state is not
+  /// consumed, so more bytes may follow.
+  uint64_t Digest() const;
+
+ private:
+  uint64_t acc_[4];
+  uint64_t total_ = 0;
+  /// Bytes of an incomplete 32-byte stripe carried to the next Update.
+  char stripe_[32] = {};
+  size_t buffered_ = 0;
+};
+
+/// One-shot Xxh64 over a byte buffer.
+uint64_t Xxh64Hash(const char* data, size_t size);
 
 /// Writes `payload` to `path` directly (a crash mid-write leaves a
 /// partial file, which readers catch via the checksum).

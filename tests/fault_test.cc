@@ -115,8 +115,10 @@ uint64_t Bits(double v) {
   return b;
 }
 
+// ctest runs fault_test and its fault_matrix_seed* entries, the same
+// binary, at once: the pid keeps each process on its own files.
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + name + "." + std::to_string(::getpid());
 }
 
 /// Arms the global injector for one test and guarantees it is disarmed
@@ -994,7 +996,6 @@ TEST(FaultMatrix, TraceAppendFailuresNeverFailScoringAndAreAccounted) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(87);
   ASSERT_NE(snapshot, nullptr);
   std::string path = TempPath("fault_trace_matrix.jsonl." +
-                              std::to_string(::getpid()) + "." +
                               std::to_string(MatrixSeed()));
   std::remove(path.c_str());
   Result<std::unique_ptr<TraceLog>> log = TraceLog::Open(path);
@@ -1048,7 +1049,6 @@ TEST(FaultMatrix, TraceAppendFailureCountsSurfaceInServerStats) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(89);
   ASSERT_NE(snapshot, nullptr);
   std::string path = TempPath("fault_trace_stats.jsonl." +
-                              std::to_string(::getpid()) + "." +
                               std::to_string(MatrixSeed()));
   std::remove(path.c_str());
   Result<std::unique_ptr<TraceLog>> log = TraceLog::Open(path);

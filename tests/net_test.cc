@@ -200,9 +200,10 @@ SocketPair MakeSocketPair() {
 }
 
 /// Hand-built frame bytes (the ReadFrame corruption tests need control
-/// over every byte; WriteFrame would fix what we break).
+/// over every byte; WriteFrame would fix what we break). The trailer is
+/// the real wire checksum, so the unflipped frame reads OK.
 std::string RawFrame(const std::string& magic, uint8_t version, uint8_t type,
-                     const std::string& payload, uint64_t checksum) {
+                     const std::string& payload) {
   BinaryWriter w;
   for (char c : magic) w.WriteU8(static_cast<uint8_t>(c));
   w.WriteU8(version);
@@ -213,9 +214,17 @@ std::string RawFrame(const std::string& magic, uint8_t version, uint8_t type,
   std::string buf = std::move(w).TakeBuffer();
   buf.append(payload);
   BinaryWriter trailer;
-  trailer.WriteU64(checksum);
+  trailer.WriteU64(
+      net::FrameChecksum(nullptr, 0, payload.data(), payload.size()));
   buf.append(std::move(trailer).TakeBuffer());
   return buf;
+}
+
+/// Sends `raw` and reads it back as one frame.
+Result<Frame> SendAndRead(SocketPair& pair, const std::string& raw) {
+  Status sent = pair.client.SendAll(raw.data(), raw.size(), kIo);
+  if (!sent.ok()) return sent;
+  return ReadFrame(pair.server, kIo);
 }
 
 // ---------------------------------------------------------------- framing
@@ -262,32 +271,47 @@ TEST(FrameTest, UnexpectedReplyTypeIsDataLoss) {
 
 TEST(FrameTest, BadMagicIsUnavailable) {
   SocketPair pair = MakeSocketPair();
-  std::string raw = RawFrame("XXXX", net::kFrameProtocolVersion, 1, "p",
-                             Fnv1aHash("p", 1));
-  ASSERT_TRUE(pair.client.SendAll(raw.data(), raw.size(), kIo).ok());
-  Result<Frame> frame = ReadFrame(pair.server, kIo);
+  std::string raw = RawFrame("XXXX", net::kFrameProtocolVersion, 1, "p");
+  Result<Frame> frame = SendAndRead(pair, raw);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kUnavailable);
 }
 
 TEST(FrameTest, FutureProtocolVersionIsUnavailable) {
   SocketPair pair = MakeSocketPair();
-  std::string raw = RawFrame("FDRP", net::kFrameProtocolVersion + 1, 1, "p",
-                             Fnv1aHash("p", 1));
-  ASSERT_TRUE(pair.client.SendAll(raw.data(), raw.size(), kIo).ok());
-  Result<Frame> frame = ReadFrame(pair.server, kIo);
+  std::string raw = RawFrame("FDRP", net::kFrameProtocolVersion + 1, 1, "p");
+  Result<Frame> frame = SendAndRead(pair, raw);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(FrameTest, VersionOneFrameIsUnavailableNotDataLoss) {
+  // A v1 peer's frame exactly as it wrote it: version byte 1 and an
+  // FNV-1a trailer over the payload. It must be refused on its version,
+  // not reported as corruption.
+  SocketPair pair = MakeSocketPair();
+  std::string payload = "from an old peer";
+  std::string raw = RawFrame("FDRP", 1, 1, payload);
+  BinaryWriter fnv;
+  fnv.WriteU64(Fnv1aHash(payload.data(), payload.size()));
+  raw.replace(raw.size() - 8, 8, fnv.buffer());
+  Result<Frame> frame = SendAndRead(pair, raw);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kUnavailable)
+      << frame.status().ToString();
 }
 
 TEST(FrameTest, ChecksumMismatchIsDataLoss) {
   SocketPair pair = MakeSocketPair();
   std::string payload = "precious payload bytes";
-  std::string raw = RawFrame("FDRP", net::kFrameProtocolVersion, 1, payload,
-                             Fnv1aHash(payload.data(), payload.size()));
+  std::string raw = RawFrame("FDRP", net::kFrameProtocolVersion, 1, payload);
+  // Positive control: the forged frame is valid before the flip.
+  Result<Frame> intact = SendAndRead(pair, raw);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_EQ(intact.value().payload, payload);
+
   raw[20] ^= 0x40;  // flip a payload bit; the trailer checksum now lies
-  ASSERT_TRUE(pair.client.SendAll(raw.data(), raw.size(), kIo).ok());
-  Result<Frame> frame = ReadFrame(pair.server, kIo);
+  Result<Frame> frame = SendAndRead(pair, raw);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
 }
@@ -317,11 +341,12 @@ TEST(FrameTest, TraceExtensionRoundTripsOverLoopback) {
   EXPECT_FALSE(probe.value().has_trace);
 }
 
-/// Hand-built traced frame so the corruption test can flip extension
-/// bytes that WriteTracedFrame would checksum correctly.
+/// Hand-built traced frame so the corruption tests can flip extension
+/// bytes that WriteTracedFrame would checksum correctly. The trailer is
+/// the real wire checksum, so the unflipped frame reads OK.
 std::string RawTracedFrame(uint16_t flags, uint64_t trace_id,
                            uint64_t parent_span_id,
-                           const std::string& payload, bool valid_checksum) {
+                           const std::string& payload) {
   BinaryWriter w;
   for (char c : {'F', 'D', 'R', 'P'}) w.WriteU8(static_cast<uint8_t>(c));
   w.WriteU8(net::kFrameProtocolVersion);
@@ -336,34 +361,57 @@ std::string RawTracedFrame(uint16_t flags, uint64_t trace_id,
     ext.WriteU64(parent_span_id);
     buf.append(std::move(ext).TakeBuffer());
   }
-  std::string checked = buf.substr(16) + payload;
-  buf.append(payload);
+  const size_t ext_size = buf.size() - 16;
   BinaryWriter trailer;
-  trailer.WriteU64(valid_checksum
-                       ? Fnv1aHash(checked.data(), checked.size())
-                       : 0);
+  trailer.WriteU64(net::FrameChecksum(buf.data() + 16, ext_size,
+                                      payload.data(), payload.size()));
+  buf.append(payload);
   buf.append(std::move(trailer).TakeBuffer());
   return buf;
 }
 
 TEST(FrameTest, CorruptedTraceExtensionIsDataLoss) {
   SocketPair pair = MakeSocketPair();
-  std::string raw = RawTracedFrame(net::kFrameFlagTrace, 0x1234, 0x5678,
-                                   "payload", /*valid_checksum=*/true);
+  std::string raw =
+      RawTracedFrame(net::kFrameFlagTrace, 0x1234, 0x5678, "payload");
+  // Positive control: the forged frame is valid before the flip.
+  Result<Frame> intact = SendAndRead(pair, raw);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_EQ(intact.value().trace.trace_id, 0x1234u);
+
   raw[18] ^= 0x20;  // flip a byte inside the 16-byte trace extension
-  ASSERT_TRUE(pair.client.SendAll(raw.data(), raw.size(), kIo).ok());
-  Result<Frame> frame = ReadFrame(pair.server, kIo);
+  Result<Frame> frame = SendAndRead(pair, raw);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss)
       << "the trailer checksum must cover the extension bytes";
 }
 
+TEST(FrameTest, EverySingleBitFlipAfterTheHeaderIsDataLoss) {
+  SocketPair pair = MakeSocketPair();
+  const std::string raw = RawTracedFrame(
+      net::kFrameFlagTrace, 0x0123456789ABCDEFull, 0xFEDCBA9876543210ull,
+      "a payload that spans more than one 32-byte hash stripe");
+  Result<Frame> intact = SendAndRead(pair, raw);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+
+  // Extension, payload and trailer: every byte after the 16-byte header.
+  for (size_t byte = 16; byte < raw.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = raw;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      Result<Frame> frame = SendAndRead(pair, flipped);
+      ASSERT_FALSE(frame.ok()) << "byte " << byte << " bit " << bit;
+      ASSERT_EQ(frame.status().code(), StatusCode::kDataLoss)
+          << "byte " << byte << " bit " << bit << ": "
+          << frame.status().ToString();
+    }
+  }
+}
+
 TEST(FrameTest, UnknownFlagBitsAreRejectedNotDesynced) {
   SocketPair pair = MakeSocketPair();
-  std::string raw = RawTracedFrame(/*flags=*/0x2, 0, 0, "payload",
-                                   /*valid_checksum=*/true);
-  ASSERT_TRUE(pair.client.SendAll(raw.data(), raw.size(), kIo).ok());
-  Result<Frame> frame = ReadFrame(pair.server, kIo);
+  std::string raw = RawTracedFrame(/*flags=*/0x2, 0, 0, "payload");
+  Result<Frame> frame = SendAndRead(pair, raw);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kUnavailable);
 }
@@ -371,8 +419,7 @@ TEST(FrameTest, UnknownFlagBitsAreRejectedNotDesynced) {
 TEST(FrameTest, OversizePayloadIsDataLoss) {
   SocketPair pair = MakeSocketPair();
   std::string raw =
-      RawFrame("FDRP", net::kFrameProtocolVersion, 1, std::string(64, 'x'),
-               Fnv1aHash("x", 1));
+      RawFrame("FDRP", net::kFrameProtocolVersion, 1, std::string(64, 'x'));
   ASSERT_TRUE(pair.client.SendAll(raw.data(), raw.size(), kIo).ok());
   Result<Frame> frame = ReadFrame(pair.server, kIo, /*max_payload=*/16);
   ASSERT_FALSE(frame.ok());
@@ -383,7 +430,7 @@ TEST(FrameTest, PeerClosingMidFrameIsUnavailable) {
   SocketPair pair = MakeSocketPair();
   // Header promises 64 payload bytes; the peer hangs up after 4.
   std::string raw = RawFrame("FDRP", net::kFrameProtocolVersion, 1,
-                             std::string(64, 'x'), 0);
+                             std::string(64, 'x'));
   ASSERT_TRUE(pair.client.SendAll(raw.data(), 20, kIo).ok());
   pair.client.Close();
   Result<Frame> frame = ReadFrame(pair.server, kIo);

@@ -1,10 +1,14 @@
-// Unit tests for util: Status/Result, Rng, strings, CLI.
+// Unit tests for util: Status/Result, Rng, strings, CLI, and the binary
+// codec's hashes and bulk double arrays.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <set>
 
+#include "util/binary_io.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -274,6 +278,112 @@ TEST(CliTest, UnparsableNumberFallsBack) {
   CliFlags flags = CliFlags::Parse(2, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("n", 9), 9);
   EXPECT_DOUBLE_EQ(flags.GetDouble("n", 1.5), 1.5);
+}
+
+// ------------------------------------------------------------- binary_io
+
+TEST(Xxh64Test, PublishedDigests) {
+  // The reference xxHash library's XXH64(data, size, seed 0).
+  EXPECT_EQ(Xxh64Hash("", 0), 0xef46db3751d8e999ull);
+  EXPECT_EQ(Xxh64Hash("abc", 3), 0x44bc2cf5ad770999ull);
+  std::string ramp;
+  for (int rep = 0; rep < 4; ++rep) {
+    for (int b = 0; b < 256; ++b) ramp.push_back(static_cast<char>(b));
+  }
+  EXPECT_EQ(Xxh64Hash(ramp.data(), ramp.size()), 0x6f3914f18fe4df57ull);
+}
+
+TEST(Xxh64Test, SameDigestAtEveryAlignmentAndSplit) {
+  std::string bytes;
+  for (int i = 0; i < 301; ++i) bytes.push_back(static_cast<char>(i * 37));
+  for (size_t size : {0u, 3u, 7u, 8u, 31u, 32u, 33u, 100u, 301u}) {
+    const uint64_t want = Xxh64Hash(bytes.data(), size);
+    // The same bytes from an unaligned start.
+    for (size_t offset = 1; offset < 8; ++offset) {
+      std::string shifted(offset, '\0');
+      shifted.append(bytes, 0, size);
+      EXPECT_EQ(Xxh64Hash(shifted.data() + offset, size), want)
+          << "size " << size << " offset " << offset;
+    }
+    // The same bytes fed in two pieces, as FrameChecksum feeds them.
+    for (size_t cut = 0; cut <= size; ++cut) {
+      Xxh64 split;
+      split.Update(bytes.data(), cut);
+      split.Update(bytes.data() + cut, size - cut);
+      ASSERT_EQ(split.Digest(), want) << "size " << size << " cut " << cut;
+    }
+  }
+}
+
+std::vector<double> AwkwardDoubles() {
+  auto from_bits = [](uint64_t bits) {
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  };
+  return {0.0,
+          -0.0,
+          1.5,
+          -3.25e300,
+          std::numeric_limits<double>::denorm_min(),
+          -std::numeric_limits<double>::denorm_min() * 12345,
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          from_bits(0x7FF8000000000001ull),   // quiet NaN with a payload
+          from_bits(0x7FF0000000000ABCull),   // signalling NaN payload
+          from_bits(0xFFFFFFFFFFFFFFFFull)};  // negative NaN, all bits set
+}
+
+TEST(BinaryIoTest, BulkDoubleVectorBytesEqualPerElementEncoding) {
+  const std::vector<double> values = AwkwardDoubles();
+  BinaryWriter bulk;
+  bulk.WriteDoubleVector(values);
+  BinaryWriter per_element;
+  per_element.WriteU64(values.size());
+  for (double v : values) per_element.WriteDouble(v);
+  EXPECT_EQ(bulk.buffer(), per_element.buffer());
+
+  BinaryReader r(bulk.buffer());
+  Result<std::vector<double>> back = r.ReadDoubleVector();
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back.value().size(), values.size());
+  EXPECT_EQ(std::memcmp(back.value().data(), values.data(),
+                        values.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(r.remaining(), 0u);
+
+  BinaryWriter empty;
+  empty.WriteDoubleVector({});
+  BinaryReader er(empty.buffer());
+  Result<std::vector<double>> none = er.ReadDoubleVector();
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none.value().empty());
+}
+
+TEST(BinaryIoTest, DoubleVectorLengthBeyondTheBytesIsDataLoss) {
+  const std::vector<double> values = AwkwardDoubles();
+  BinaryWriter full;
+  full.WriteDoubleVector(values);
+  const std::string& bytes = full.buffer();
+  // Each of these lengths fails before the vector is allocated: the
+  // first two could not be allocated at all, and 2^61 * 8 wraps to 0.
+  for (uint64_t claimed : {uint64_t{1} << 61, uint64_t{1} << 40,
+                           uint64_t{values.size() + 1}}) {
+    BinaryWriter w;
+    w.WriteU64(claimed);
+    std::string forged = w.buffer() + bytes.substr(8);
+    BinaryReader r(forged);
+    Result<std::vector<double>> got = r.ReadDoubleVector();
+    ASSERT_FALSE(got.ok()) << "claimed " << claimed;
+    EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+  }
+  // The true length over an array cut off mid-way, mid-element too.
+  for (size_t cut : {bytes.size() - 1, bytes.size() - 8, size_t{12}}) {
+    BinaryReader r(bytes.data(), cut);
+    Result<std::vector<double>> got = r.ReadDoubleVector();
+    ASSERT_FALSE(got.ok()) << "cut at " << cut;
+    EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 }  // namespace
