@@ -63,6 +63,27 @@ int PollOne(int fd, short events, std::chrono::milliseconds timeout) {
   }
 }
 
+// Parks until `fd` is ready for `events` after a send/recv that would
+// have blocked. OK when ready, or when poll's whole-millisecond timeout
+// ran out just short of `deadline` (the caller retries the call either
+// way); kDeadlineExceeded once `deadline` has passed; kUnavailable when
+// poll itself fails. `what` names the call and `missing` the bytes it
+// still owes, for the messages.
+Status AwaitReady(int fd, short events, Clock::time_point deadline,
+                  const char* what, size_t missing, size_t size) {
+  int ready = PollOne(fd, events, Remaining(deadline));
+  if (ready < 0) {
+    return Status::Unavailable(
+        StrFormat("net: poll(%s) failed: %s", what, strerror(errno)));
+  }
+  if (ready == 0 && Clock::now() >= deadline) {
+    return Status::DeadlineExceeded(
+        StrFormat("net: %s timed out with %zu/%zu bytes %s", what, missing,
+                  size, events == POLLOUT ? "unsent" : "missing"));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 TcpConnection::TcpConnection(TcpConnection&& other) noexcept : fd_(other.fd_) {
@@ -141,24 +162,20 @@ Status TcpConnection::SendAll(const char* data, size_t size,
       Close();
       return Status::Unavailable("net: injected write fault (partial write)");
     }
-    int ready = PollOne(fd_, POLLOUT, Remaining(deadline));
-    if (ready < 0) {
-      return Status::Unavailable(
-          StrFormat("net: poll(send) failed: %s", strerror(errno)));
-    }
-    if (ready == 0) {
-      if (Clock::now() >= deadline) {
-        return Status::DeadlineExceeded(StrFormat(
-            "net: send timed out with %zu/%zu bytes unsent", size - sent,
-            size));
+    // Send first: the socket buffer almost always has room, and a poll
+    // is only worth its syscall once a send would block.
+    ssize_t n = 0;
+    for (;;) {
+      n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
+      if (n >= 0) break;
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        return Status::Unavailable(
+            StrFormat("net: send failed: %s", strerror(errno)));
       }
-      continue;
-    }
-    ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::Unavailable(
-          StrFormat("net: send failed: %s", strerror(errno)));
+      Status ready =
+          AwaitReady(fd_, POLLOUT, deadline, "send", size - sent, size);
+      if (!ready.ok()) return ready;
     }
     sent += static_cast<size_t>(n);
   }
@@ -175,28 +192,25 @@ Status TcpConnection::RecvAll(char* data, size_t size,
       Close();
       return Status::Unavailable("net: injected read fault (partial read)");
     }
-    int ready = PollOne(fd_, POLLIN, Remaining(deadline));
-    if (ready < 0) {
-      return Status::Unavailable(
-          StrFormat("net: poll(recv) failed: %s", strerror(errno)));
-    }
-    if (ready == 0) {
-      if (Clock::now() >= deadline) {
-        return Status::DeadlineExceeded(StrFormat(
-            "net: recv timed out with %zu/%zu bytes missing", size - got,
-            size));
+    // Receive first, as SendAll sends first: once a frame's header is
+    // in, the rest of it usually is too, and a server thread reads the
+    // header only after WaitReadable.
+    ssize_t n = 0;
+    for (;;) {
+      n = ::recv(fd_, data + got, size - got, 0);
+      if (n >= 0) break;
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        return Status::Unavailable(
+            StrFormat("net: recv failed: %s", strerror(errno)));
       }
-      continue;
+      Status ready =
+          AwaitReady(fd_, POLLIN, deadline, "recv", size - got, size);
+      if (!ready.ok()) return ready;
     }
-    ssize_t n = ::recv(fd_, data + got, size - got, 0);
     if (n == 0) {
       return Status::Unavailable(StrFormat(
           "net: peer closed with %zu/%zu bytes missing", size - got, size));
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::Unavailable(
-          StrFormat("net: recv failed: %s", strerror(errno)));
     }
     got += static_cast<size_t>(n);
   }

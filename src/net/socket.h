@@ -5,12 +5,14 @@
 // connections on a loopback/interface port (port 0 picks an ephemeral
 // port, reported by port()), TcpConnection moves whole byte buffers with
 // SendAll/RecvAll. Every fd stays in O_NONBLOCK -- the serving daemons
-// run one thread per connection, and each wait parks in a poll() bounded
-// by the caller's deadline, so a stalled peer or an injected partial
-// read/write surfaces as a typed Status (kUnavailable on connection
-// loss, kDeadlineExceeded on timeout) instead of a hang. A blocking
-// send() could otherwise wedge a handler thread forever once the kernel
-// socket buffer fills against a stalled receiver.
+// run one thread per connection. SendAll and RecvAll call send()/recv()
+// first and poll() only when the call would block (EAGAIN), so bytes
+// already buffered cost one syscall; each such wait parks in a poll()
+// bounded by the caller's deadline, so a stalled peer or an injected
+// partial read/write surfaces as a typed Status (kUnavailable on
+// connection loss, kDeadlineExceeded on timeout) instead of a hang. A
+// blocking send() could otherwise wedge a handler thread forever once
+// the kernel socket buffer fills against a stalled receiver.
 //
 // Fault sites (see util/fault.h): "net.accept" fails an Accept after the
 // kernel handshake, "net.read" truncates a RecvAll mid-buffer, and
@@ -51,14 +53,16 @@ class TcpConnection {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Sends exactly `size` bytes, looping over short writes. Bounded by
-  /// `timeout` overall. kUnavailable on peer reset/close, kDeadlineExceeded
-  /// when the deadline passes with bytes still unsent.
+  /// Sends exactly `size` bytes, looping over short writes; polls only
+  /// after a send() that would block. Bounded by `timeout` overall.
+  /// kUnavailable on peer reset/close, kDeadlineExceeded when the
+  /// deadline passes with bytes still unsent.
   Status SendAll(const char* data, size_t size,
                  std::chrono::milliseconds timeout);
 
-  /// Receives exactly `size` bytes, looping over short reads. Same typed
-  /// errors as SendAll; a clean EOF mid-buffer is kUnavailable.
+  /// Receives exactly `size` bytes, looping over short reads; polls only
+  /// after a recv() that would block. Same typed errors as SendAll; a
+  /// clean EOF mid-buffer is kUnavailable.
   Status RecvAll(char* data, size_t size, std::chrono::milliseconds timeout);
 
   /// Waits until the connection is readable (or error/hup) or `timeout`

@@ -12,9 +12,11 @@
 // `max_batch_delay` for stragglers, while a multi-row unit (a wire
 // frame) is dispatched at once — it already spreads the hand-off over
 // its own rows, and its rows all arrived together, so waiting would only
-// idle out the window. A unit longer than `max_batch_size` reaches the
-// queue as pieces of at most that many rows, so no batch exceeds the
-// cap.
+// idle out the window. A multi-row unit that fits a batch reaches the
+// batcher only when rows are queued ahead of it or every inflight slot
+// is taken; otherwise its submitting thread scores it without queueing
+// (server.h). A unit longer than `max_batch_size` reaches the queue as
+// pieces of at most that many rows, so no batch exceeds the cap.
 //
 // Batch *composition* is timing-dependent by design; per-row results are
 // not (the snapshot's determinism contract), so coalescing never changes

@@ -79,6 +79,13 @@ size_t RequestQueue::PopBatch(size_t max_rows,
   return popped;
 }
 
+bool RequestQueue::TryCheckOut(size_t rows) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_ || !items_.empty()) return false;
+  checked_out_.fetch_add(rows, std::memory_order_acq_rel);
+  return true;
+}
+
 void RequestQueue::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);

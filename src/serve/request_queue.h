@@ -61,6 +61,15 @@ class RequestQueue {
   size_t PopBatch(size_t max_rows, std::chrono::nanoseconds max_wait,
                   std::vector<PendingRequest>* out);
 
+  /// Checks out a unit of `rows` rows that never enters the queue,
+  /// because its submitting thread scores it (ScoringServer::Submit):
+  /// only while the queue is open and holds no piece that would be
+  /// ahead of it. The rows join checked_out() under the lock hold of
+  /// that check, as a popped piece's do, and leave it with the
+  /// consumer's AckCheckedOut. Returns false, changing nothing,
+  /// otherwise.
+  bool TryCheckOut(size_t rows);
+
   /// Marks the queue closed: further TryPush calls refuse, blocked
   /// PopBatch callers drain what remains and then return 0.
   void Close();
@@ -88,14 +97,16 @@ class RequestQueue {
   /// conservation invariant the fleet's drain barrier
   /// (ScoringServer::Quiesce) relies on to certify that nothing is
   /// hidden inside the micro-batcher's coalescing window, a batch the
-  /// dispatcher is scoring, or its hand-off to a batch worker.
+  /// dispatcher or a submitting thread is scoring, or its hand-off to a
+  /// batch worker.
   size_t checked_out() const {
     return checked_out_.load(std::memory_order_acquire);
   }
 
   /// Consumer acknowledgment: `n` popped rows have been fully
   /// processed (their rows resolved). Called after scoring by the
-  /// thread that scored the batch (the dispatcher or a batch worker).
+  /// thread that scored the batch (the dispatcher, a batch worker, or
+  /// the submitting thread of a unit it checked out).
   void AckCheckedOut(size_t n) {
     checked_out_.fetch_sub(n, std::memory_order_acq_rel);
   }

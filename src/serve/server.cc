@@ -12,6 +12,18 @@
 
 namespace fairdrift {
 
+namespace {
+
+// Runs a batch's loops on the thread that scores it: the dispatcher, or
+// the submitting thread of a unit that is its own batch. A 0-worker pool
+// keeps no per-call state, so every server and thread can share it.
+ThreadPool& InlinePool() {
+  static ThreadPool pool(0);
+  return pool;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<ScoringServer>> ScoringServer::Create(
     std::shared_ptr<const ModelSnapshot> snapshot,
     const ServerOptions& options) {
@@ -46,7 +58,8 @@ void ScoringServer::Stop() {
     queue_.Close();
     if (dispatcher_.joinable()) dispatcher_.join();
     // The dispatcher has drained the queue; wait out the batches it
-    // already handed to the pool.
+    // already handed to the pool and units scoring on their submitting
+    // threads (the closed queue refuses any new one).
     std::unique_lock<std::mutex> lock(inflight_mu_);
     inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
   });
@@ -137,7 +150,17 @@ Result<ScoreTicket> ScoringServer::Submit(
   unit.count = count;
   unit.enqueue_time = now;
   unit.deadline = deadline;
-  if (!queue_.TryPush(std::move(unit), batcher_.options().max_batch_size)) {
+  // A multi-row unit (a wire frame) that fits one batch, finds nothing
+  // queued ahead of it and an inflight slot free without waiting is its
+  // own batch, scored right here (the architecture note in server.h).
+  // Everything else queues.
+  const size_t cap = batcher_.options().max_batch_size;
+  bool own_batch = count > 1 && count <= cap && TryAcquireInflightSlot();
+  if (own_batch && !queue_.TryCheckOut(count)) {
+    ReleaseInflightSlot();
+    own_batch = false;
+  }
+  if (!own_batch && !queue_.TryPush(std::move(unit), cap)) {
     stats_.RecordAdmissionShed(count);
     return queue_.closed()
                ? Status::Unavailable("Submit: server stopped")
@@ -145,6 +168,10 @@ Result<ScoreTicket> ScoringServer::Submit(
   }
   stats_.RecordSubmitted(count);
   if (sampled != 0) stats_.RecordTraceSampled(sampled);
+  if (own_batch) {
+    StampDequeue({&unit, &unit + 1});
+    RunBatch({&unit, &unit + 1}, count, &InlinePool());
+  }
   return ScoreTicket(std::move(state));
 }
 
@@ -227,6 +254,13 @@ void ScoringServer::ReleaseScratch(std::unique_ptr<ScoreScratch> scratch) {
   }
 }
 
+bool ScoringServer::TryAcquireInflightSlot() {
+  std::lock_guard<std::mutex> lock(inflight_mu_);
+  if (inflight_ >= max_inflight_) return false;
+  ++inflight_;
+  return true;
+}
+
 void ScoringServer::AcquireInflightSlot() {
   std::unique_lock<std::mutex> lock(inflight_mu_);
   inflight_cv_.wait(lock, [this] { return inflight_ < max_inflight_; });
@@ -242,49 +276,51 @@ void ScoringServer::ReleaseInflightSlot() {
   inflight_cv_.notify_all();
 }
 
+void ScoringServer::StampDequeue(Pieces batch) {
+  if (!options_.trace.enabled) return;
+  // One clock read covers the batch: every member left the queue (or
+  // skipped it) at once.
+  uint64_t now_ns = MonotonicNowNs();
+  for (PendingRequest& piece : batch) {
+    for (size_t i = piece.begin; i < piece.begin + piece.count; ++i) {
+      TraceSpanSlot& slot = piece.ticket->row(i).trace;
+      if (slot.sampled()) slot.StampAt(TraceStage::kDequeue, now_ns);
+    }
+  }
+}
+
+void ScoringServer::RunBatch(Pieces batch, size_t rows, ThreadPool* pool) {
+  ProcessBatch(batch, pool);
+  // The queue's checked-out claim goes before the inflight slot, so a
+  // drain barrier that wakes on the slot sees the full acknowledgment.
+  queue_.AckCheckedOut(rows);
+  ReleaseInflightSlot();
+}
+
 void ScoringServer::DispatchLoop() {
-  // Scores and resolves a batch, then releases the queue's checked-out
-  // claim before the inflight slot, so a drain barrier that wakes on the
-  // slot sees the full acknowledgment.
-  auto score = [this](std::vector<PendingRequest>* batch, size_t rows,
-                      ThreadPool* pool) {
-    ProcessBatch(batch, pool);
-    queue_.AckCheckedOut(rows);
-    ReleaseInflightSlot();
-  };
-  // A batch under the cap is scored right here, its loops inline on a
-  // 0-worker pool, out of a vector this thread keeps; a full batch goes
-  // to pool_ (the architecture note in server.h says why).
-  ThreadPool inline_pool(0);
+  // A batch under the cap is scored right here, its loops inline, out of
+  // a vector this thread keeps; a full batch goes to pool_ (the
+  // architecture note in server.h says why).
   const size_t cap = batcher_.options().max_batch_size;
   std::vector<PendingRequest> owned;
   for (;;) {
     const size_t rows = batcher_.NextBatch(&owned);
     if (rows == 0) return;  // closed and drained
-    if (options_.trace.enabled) {
-      // One clock read covers the batch: every member left the queue in
-      // the same NextBatch call.
-      uint64_t now_ns = MonotonicNowNs();
-      for (PendingRequest& piece : owned) {
-        for (size_t i = piece.begin; i < piece.begin + piece.count; ++i) {
-          TraceSpanSlot& slot = piece.ticket->row(i).trace;
-          if (slot.sampled()) slot.StampAt(TraceStage::kDequeue, now_ns);
-        }
-      }
-    }
+    const Pieces popped{owned.data(), owned.data() + owned.size()};
+    StampDequeue(popped);
     // Bound the scoring work in flight before taking on another batch:
     // the dispatcher is the only back-pressure between the queue and the
     // pool. A batch scored here holds a slot too, so inflight_batches()
     // and Quiesce see it exactly like one on a worker.
     AcquireInflightSlot();
     if (rows < cap) {
-      score(&owned, rows, &inline_pool);
+      RunBatch(popped, rows, &InlinePool());
       continue;
     }
     auto batch = std::make_shared<std::vector<PendingRequest>>(
         std::move(owned));
-    pool_->Submit([this, score, batch, rows] {
-      score(batch.get(), rows, pool_);
+    pool_->Submit([this, batch, rows] {
+      RunBatch({batch->data(), batch->data() + batch->size()}, rows, pool_);
     });
   }
 }
@@ -294,9 +330,9 @@ namespace {
 // Calls fn(piece, slot, i) for every row i of the batch whose slot holds
 // no error — the rows headed for (or through) the scorer — in batch
 // order, which is the order they are staged in.
-template <typename Fn>
-void ForEachLiveRow(std::vector<PendingRequest>* batch, Fn&& fn) {
-  for (PendingRequest& piece : *batch) {
+template <typename Batch, typename Fn>
+void ForEachLiveRow(const Batch& batch, Fn&& fn) {
+  for (PendingRequest& piece : batch) {
     for (size_t i = piece.begin; i < piece.begin + piece.count; ++i) {
       serve_internal::RowSlot& slot = piece.ticket->row(i);
       if (slot.error.ok()) fn(piece, slot, i);
@@ -306,10 +342,10 @@ void ForEachLiveRow(std::vector<PendingRequest>* batch, Fn&& fn) {
 
 }  // namespace
 
-void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch,
-                                 ThreadPool* pool) {
+void ScoringServer::ProcessBatch(Pieces batch, ThreadPool* pool) {
   // Fault site: a kWedge rule blocks the thread scoring this batch (the
-  // dispatcher for a batch under the cap, else a pool worker) inside
+  // dispatcher for a batch under the cap, a pool worker for a full one,
+  // the submitting thread for a unit that is its own batch) inside
   // Hit() until the rule is cleared — the wedged-shard scenario the
   // health monitor must detect (pending work, no dispatcher progress).
   (void)FAULT_POINT_ARG("server.wedge", options_.fault_tag);
@@ -323,7 +359,7 @@ void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch,
   // otherwise each row is validated on its own, so one bad row never
   // fails its neighbours.
   size_t live = 0;
-  for (PendingRequest& piece : *batch) {
+  for (PendingRequest& piece : batch) {
     serve_internal::TicketState& unit = *piece.ticket;
     Status piece_error;
     if (piece.deadline <= now) {
@@ -353,7 +389,7 @@ void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch,
       live != 0 && ScoreLiveRows(batch, *snapshot, live, now, pool);
   // One completion per unit: a piece resolves all its rows at once, and
   // the unit completes with its last piece.
-  for (PendingRequest& piece : *batch) piece.ticket->Resolve(piece.count);
+  for (PendingRequest& piece : batch) piece.ticket->Resolve(piece.count);
   if (scored && options_.trace.enabled && options_.trace.sink != nullptr &&
       !options_.trace.defer_emit) {
     // Whole-span export happens after rows resolve: a waiting client
@@ -368,8 +404,8 @@ void ScoringServer::ProcessBatch(std::vector<PendingRequest>* batch,
   }
 }
 
-bool ScoringServer::ScoreLiveRows(std::vector<PendingRequest>* batch,
-                                  const ModelSnapshot& snapshot, size_t live,
+bool ScoringServer::ScoreLiveRows(Pieces batch, const ModelSnapshot& snapshot,
+                                  size_t live,
                                   std::chrono::steady_clock::time_point start,
                                   ThreadPool* pool) {
   using serve_internal::RowSlot;

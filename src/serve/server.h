@@ -3,11 +3,15 @@
 // Architecture (one arrow = one thread boundary):
 //
 //   client threads --Submit(unit)--> [AdmissionController] -->
-//        [RequestQueue] --> dispatch thread --[MicroBatcher]--> batch
-//        |-- fewer rows than max_batch_size: scored on the dispatch
-//        |   thread itself, its loops inline (a 0-worker pool)
-//        '-- a full batch --ThreadPool::Submit--> batch worker
-//   either way, one ProcessBatch: cull expired deadlines, validate rows,
+//        |-- a multi-row unit that fits one batch, with nothing queued
+//        |   ahead of it and an inflight slot free: its own batch,
+//        |   scored on the submitting thread, its loops inline
+//        '-- anything else --> [RequestQueue] --> dispatch thread
+//            --[MicroBatcher]--> batch
+//            |-- fewer rows than max_batch_size: scored on the dispatch
+//            |   thread itself, its loops inline (a 0-worker pool)
+//            '-- a full batch --ThreadPool::Submit--> batch worker
+//   every way, one ProcessBatch: cull expired deadlines, validate rows,
 //   ModelSnapshot::ScoreBatch (one immutable snapshot per batch),
 //   resolve rows, record ServerStats
 //
@@ -17,7 +21,14 @@
 // also keeps serving out of the pool's FIFO, where it would queue behind
 // a Fit's parallel loops. A full batch is the sign that more rows are
 // queued: it goes to the pool while the dispatcher coalesces the next
-// one. Both kinds hold an inflight slot until their rows resolve, so
+// one. A wire frame that finds the server idle skips both hand-offs:
+// the queue → dispatcher wake-up and the dispatcher → ticket wake-up
+// cost about as much as scoring its rows, and its submitting thread (a
+// shard daemon's connection thread) would only block on the ticket
+// meanwhile. It never jumps a queued row, so FIFO order and the
+// coalescing window stand, and a single row always queues. Every kind
+// holds an inflight slot and is checked out of the queue
+// (RequestQueue::checked_out) until its rows resolve, so
 // inflight_batches(), Quiesce and Stop see them alike.
 //
 // The unit of admission is a run of 1..N contiguous rows with one
@@ -91,13 +102,16 @@ struct ServerOptions {
   BatchingOptions batching;
   AdmissionOptions admission;
   /// Batches scored concurrently, counting one the dispatch thread is
-  /// scoring itself (the dispatcher stops coalescing new batches while
-  /// this many are in flight). 0 = scoring-pool workers + 1.
+  /// scoring itself and units their submitting threads score (the
+  /// dispatcher stops coalescing new batches while this many are in
+  /// flight, and a unit that finds none free queues). 0 = scoring-pool
+  /// workers + 1.
   size_t max_inflight_batches = 0;
   /// Pool that full batches (max_batch_size rows) are scored on (global
-  /// pool when null); smaller batches are scored on the dispatch thread
-  /// whatever the pool. A 0-worker pool scores every batch on the
-  /// dispatch thread. Scores are bitwise identical either way.
+  /// pool when null); smaller batches are scored on the dispatch thread,
+  /// or on the submitting thread (see the architecture note), whatever
+  /// the pool. A 0-worker pool scores every batch on one of those two.
+  /// Scores are bitwise identical either way.
   ThreadPool* pool = nullptr;
   /// When set, batches score the density monitor under this policy
   /// instead of the snapshot's own MonitorSpec — a per-deployment knob
@@ -163,7 +177,8 @@ class ScoringServer {
   /// fast with the typed status (InvalidArgument when `rows` is not a
   /// whole, nonzero number of rows or `width` is not the snapshot's).
   /// Otherwise the one returned ticket completes when its last row
-  /// resolves; ticket.Wait(i) then gives row i's score or typed error
+  /// resolves (before Submit returns, when the unit was its own batch on
+  /// this thread); ticket.Wait(i) then gives row i's score or typed error
   /// (DeadlineExceeded when shed in the queue, InvalidArgument for a bad
   /// category code), so one bad row never fails its neighbours.
   /// `trace` links the unit to an upstream span (shard daemons): each
@@ -205,19 +220,19 @@ class ScoringServer {
   /// fleet router's load signal, not a synchronization primitive).
   size_t queue_depth() const { return queue_.size(); }
 
-  /// Batches currently being scored, by the dispatch thread or by pool
-  /// workers (racy snapshot).
+  /// Batches currently being scored, by the dispatch thread, by pool
+  /// workers or by submitting threads (racy snapshot).
   size_t inflight_batches() const;
 
   /// Blocks until this server is provably drained: nothing queued
   /// (unless `require_empty_queue` is false), no row checked out of the
   /// queue (the pop-to-completion handshake — covers rows the
   /// dispatcher popped but is still coalescing, scoring or handing to a
-  /// worker), and no batch in flight. The fleet's rolling update uses
-  /// this as its per-shard drain barrier — the router has already
-  /// steered traffic away, so the queue empties and the barrier
-  /// certifies every previously admitted request scored against the
-  /// pre-swap snapshot.
+  /// worker, and a unit its submitting thread is scoring), and no batch
+  /// in flight. The fleet's rolling update uses this as its per-shard
+  /// drain barrier — the router has already steered traffic away, so the
+  /// queue empties and the barrier certifies every previously admitted
+  /// request scored against the pre-swap snapshot.
   /// Returns DeadlineExceeded when `timeout` elapses first (traffic
   /// kept arriving, or a batch is stuck). Does NOT close admission; new
   /// submits keep working throughout.
@@ -233,24 +248,40 @@ class ScoringServer {
   ScoringServer(std::shared_ptr<const ModelSnapshot> snapshot,
                 const ServerOptions& options);
 
+  /// A batch's pieces, in batch order: a popped batch's vector, or the
+  /// one piece of a unit scored on its submitting thread (no vector, so
+  /// that path allocates nothing).
+  struct Pieces {
+    PendingRequest* first;
+    PendingRequest* last;
+    PendingRequest* begin() const { return first; }
+    PendingRequest* end() const { return last; }
+  };
+
   void DispatchLoop();
+  /// Stamps kDequeue on the batch's sampled rows (no-op untraced).
+  void StampDequeue(Pieces batch);
+  /// ProcessBatch, then acknowledges the batch's `rows` checked-out rows
+  /// and releases its inflight slot.
+  void RunBatch(Pieces batch, size_t rows, ThreadPool* pool);
   /// Culls, validates, scores and resolves one batch; `pool` runs the
-  /// scoring loops (the 0-worker pool on the dispatch thread, pool_ on a
-  /// worker).
-  void ProcessBatch(std::vector<PendingRequest>* batch, ThreadPool* pool);
+  /// scoring loops (the 0-worker pool on the dispatch or submitting
+  /// thread, pool_ on a worker).
+  void ProcessBatch(Pieces batch, ThreadPool* pool);
   /// Scores the batch's `live` rows (those whose slot holds no error)
   /// against `snapshot` in one call and writes each result into its
   /// slot, recording stats, the audit fold and trace stages first.
   /// Returns false when scoring failed (the error is then in every live
   /// row's slot). `start` is when the batch began processing.
-  bool ScoreLiveRows(std::vector<PendingRequest>* batch,
-                     const ModelSnapshot& snapshot, size_t live,
+  bool ScoreLiveRows(Pieces batch, const ModelSnapshot& snapshot, size_t live,
                      std::chrono::steady_clock::time_point start,
                      ThreadPool* pool);
   /// Appends `slot`'s record to the trace sink, counting (never
   /// propagating) failures.
   void AppendTraceRecord(const TraceSpanSlot& slot, uint64_t snapshot_version);
   void AcquireInflightSlot();
+  /// Takes a slot only if one is free now.
+  bool TryAcquireInflightSlot();
   void ReleaseInflightSlot();
 
   /// Batch buffers, recycled across batches so steady-state scoring

@@ -36,6 +36,7 @@
 #include "util/fault.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "test_tmp.h"
 
 namespace fairdrift {
 namespace {
@@ -82,7 +83,7 @@ std::shared_ptr<const ModelSnapshot> MakeAuditSnapshot(
 }
 
 std::string TempPath(const std::string& name) {
-  std::string path = testing::TempDir() + "/" + name;
+  std::string path = TestTempPath(name);
   std::remove(path.c_str());
   return path;
 }

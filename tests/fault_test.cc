@@ -36,8 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/deployment.h"
 #include "serve/audit/audit_log.h"
 #include "serve/fleet/fleet.h"
@@ -51,6 +49,7 @@
 #include "serve/snapshot_io.h"
 #include "serve/trace/trace_log.h"
 #include "util/rng.h"
+#include "test_tmp.h"
 
 namespace fairdrift {
 namespace {
@@ -113,12 +112,6 @@ uint64_t Bits(double v) {
   uint64_t b;
   std::memcpy(&b, &v, sizeof(b));
   return b;
-}
-
-// ctest runs fault_test and its fault_matrix_seed* entries, the same
-// binary, at once: the pid keeps each process on its own files.
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name + "." + std::to_string(::getpid());
 }
 
 /// Arms the global injector for one test and guarantees it is disarmed
@@ -590,7 +583,7 @@ void CorruptTrailerByte(const std::string& path) {
 }
 
 TEST(FaultWatcherTest, CorruptIdentityQuarantinedGoodSaveStillReloads) {
-  std::string path = TempPath("fault_quarantine.bin");
+  std::string path = TestTempPath("fault_quarantine.bin");
   std::shared_ptr<const ModelSnapshot> first = MakeSnapshot(61);
   std::shared_ptr<const ModelSnapshot> second = MakeSnapshot(62);
   std::shared_ptr<const ModelSnapshot> third =
@@ -640,7 +633,7 @@ TEST(FaultWatcherTest, CorruptIdentityQuarantinedGoodSaveStillReloads) {
 }
 
 TEST(FaultWatcherTest, TransientLoadFailuresBelowThresholdSelfHeal) {
-  std::string path = TempPath("fault_transient.bin");
+  std::string path = TestTempPath("fault_transient.bin");
   std::shared_ptr<const ModelSnapshot> first = MakeSnapshot(64);
   std::shared_ptr<const ModelSnapshot> second = MakeSnapshot(65);
   ASSERT_NE(first, nullptr);
@@ -673,7 +666,7 @@ TEST(FaultWatcherTest, TransientLoadFailuresBelowThresholdSelfHeal) {
 }
 
 TEST(FaultWatcherTest, ProbeErrorsBackOffPolling) {
-  std::string path = TempPath("fault_backoff.bin");
+  std::string path = TestTempPath("fault_backoff.bin");
   // Not a snapshot at all: every probe errors, stretching the interval.
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -707,7 +700,7 @@ TEST(FaultWatcherTest, ProbeErrorsBackOffPolling) {
 // ---------------------------------------------------------------- snapshot
 
 TEST(FaultSnapshotTest, InjectedPartialSaveFailsCleanAndKeepsOldFile) {
-  std::string path = TempPath("fault_partial_save.bin");
+  std::string path = TestTempPath("fault_partial_save.bin");
   std::shared_ptr<const ModelSnapshot> first = MakeSnapshot(71);
   std::shared_ptr<const ModelSnapshot> second = MakeSnapshot(72);
   ASSERT_NE(first, nullptr);
@@ -727,7 +720,7 @@ TEST(FaultSnapshotTest, InjectedPartialSaveFailsCleanAndKeepsOldFile) {
 }
 
 TEST(FaultSnapshotTest, InjectedTornReadFailsStrictLoad) {
-  std::string path = TempPath("fault_torn_read.bin");
+  std::string path = TestTempPath("fault_torn_read.bin");
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(73);
   ASSERT_NE(snapshot, nullptr);
   ASSERT_TRUE(SaveSnapshot(*snapshot, path).ok());
@@ -740,7 +733,7 @@ TEST(FaultSnapshotTest, InjectedTornReadFailsStrictLoad) {
 }
 
 TEST(FaultSnapshotTest, DensityCorruptionDegradesUnderAllowPartial) {
-  std::string path = TempPath("fault_partial_load.bin");
+  std::string path = TestTempPath("fault_partial_load.bin");
   std::shared_ptr<const ModelSnapshot> built =
       MakeSnapshot(74, Method::kDiffair, /*with_density=*/true);
   ASSERT_NE(built, nullptr);
@@ -894,7 +887,7 @@ TEST(FaultMatrix, RolloutConvergesUnderProbabilisticDrainStalls) {
 }
 
 TEST(FaultMatrix, WatcherHealsThroughProbabilisticLoadFailures) {
-  std::string path = TempPath("fault_matrix_watch.bin");
+  std::string path = TestTempPath("fault_matrix_watch.bin");
   std::shared_ptr<const ModelSnapshot> first = MakeSnapshot(83);
   std::shared_ptr<const ModelSnapshot> second =
       MakeSnapshot(84, Method::kDiffair);
@@ -995,7 +988,7 @@ TEST(FaultMatrix, RemoteScoringShedsTypedErrorsUnderFlakyTransport) {
 TEST(FaultMatrix, TraceAppendFailuresNeverFailScoringAndAreAccounted) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(87);
   ASSERT_NE(snapshot, nullptr);
-  std::string path = TempPath("fault_trace_matrix.jsonl." +
+  std::string path = TestTempPath("fault_trace_matrix.jsonl." +
                               std::to_string(MatrixSeed()));
   std::remove(path.c_str());
   Result<std::unique_ptr<TraceLog>> log = TraceLog::Open(path);
@@ -1048,7 +1041,7 @@ TEST(FaultMatrix, TraceAppendFailuresNeverFailScoringAndAreAccounted) {
 TEST(FaultMatrix, TraceAppendFailureCountsSurfaceInServerStats) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(89);
   ASSERT_NE(snapshot, nullptr);
-  std::string path = TempPath("fault_trace_stats.jsonl." +
+  std::string path = TestTempPath("fault_trace_stats.jsonl." +
                               std::to_string(MatrixSeed()));
   std::remove(path.c_str());
   Result<std::unique_ptr<TraceLog>> log = TraceLog::Open(path);

@@ -32,6 +32,7 @@
 #include "serve/fleet/watcher.h"
 #include "serve/snapshot_io.h"
 #include "util/rng.h"
+#include "test_tmp.h"
 
 namespace fairdrift {
 namespace {
@@ -94,10 +95,6 @@ uint64_t Bits(double v) {
   uint64_t b;
   std::memcpy(&b, &v, sizeof(b));
   return b;
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
 }
 
 TEST(ShardRouterTest, PoliciesStayInRange) {
@@ -303,7 +300,7 @@ TEST(FleetTest, UpdateSnapshotSwapsEveryShardImmediately) {
 TEST(WatcherTest, PicksUpCrossProcessStyleSave) {
   // The same SaveSnapshot path another process would use (atomic tmp +
   // rename); the CI smoke runs it across two real processes.
-  std::string path = TempPath("fleet_watch_snap.bin");
+  std::string path = TestTempPath("fleet_watch_snap.bin");
   std::shared_ptr<const ModelSnapshot> first = MakeSnapshot(61);
   std::shared_ptr<const ModelSnapshot> second =
       MakeSnapshot(62, Method::kDiffair);
@@ -364,7 +361,7 @@ TEST(WatcherTest, DetectsSaveWithIdenticalMtimeAndSize) {
   // equal with utimensat before an atomic rename, the worst case — made
   // the second snapshot invisible until an unrelated change. Identity is
   // now (size, checksum), probed every poll.
-  std::string path = TempPath("fleet_watch_same_mtime.bin");
+  std::string path = TestTempPath("fleet_watch_same_mtime.bin");
   std::shared_ptr<const ModelSnapshot> first = MakeSnapshot(81);
   std::shared_ptr<const ModelSnapshot> second = MakeSnapshot(82);
   ASSERT_NE(first, nullptr);
@@ -390,7 +387,7 @@ TEST(WatcherTest, DetectsSaveWithIdenticalMtimeAndSize) {
   // FIRST file's exact mtime, then rename into place: from the moment it
   // is visible, its stat identity is indistinguishable from the old
   // file's (rename preserves timestamps). Only the bytes differ.
-  std::string staging = TempPath("fleet_watch_same_mtime.stage.bin");
+  std::string staging = TestTempPath("fleet_watch_same_mtime.stage.bin");
   ASSERT_TRUE(SaveSnapshot(*second, staging).ok());
   struct stat st_second;
   ASSERT_EQ(::stat(staging.c_str(), &st_second), 0);
@@ -415,7 +412,7 @@ TEST(WatcherTest, RollbackToPreviouslyServedBytesFires) {
   // Content identity is symmetric: re-saving the *older* snapshot over a
   // newer one is a change like any other (an operator rollback), even
   // though the restored bytes were the baseline two generations ago.
-  std::string path = TempPath("fleet_watch_rollback.bin");
+  std::string path = TestTempPath("fleet_watch_rollback.bin");
   std::shared_ptr<const ModelSnapshot> first = MakeSnapshot(91);
   std::shared_ptr<const ModelSnapshot> second = MakeSnapshot(92);
   ASSERT_NE(first, nullptr);

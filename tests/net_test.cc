@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -45,6 +43,7 @@
 #include "util/binary_io.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "test_tmp.h"
 
 namespace fairdrift {
 namespace {
@@ -127,17 +126,6 @@ std::vector<double> Flatten(const Matrix& m) {
     for (size_t c = 0; c < m.cols(); ++c) flat.push_back(m.At(r, c));
   }
   return flat;
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
-
-/// Chunked-snapshot tests need a directory no previous test RUN has
-/// touched: the snapshots are deterministic, so stale chunk files from
-/// an earlier process would satisfy the incremental-save checks.
-std::string FreshDir(const std::string& name) {
-  return TempPath(name + "." + std::to_string(::getpid()));
 }
 
 uint64_t Bits(double v) {
@@ -445,6 +433,47 @@ TEST(FrameTest, SilentPeerIsDeadlineExceeded) {
   EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(FrameTest, FrameWrittenOneByteAtATimeIsReadWhole) {
+  SocketPair pair = MakeSocketPair();
+  const std::string payload = "trickled over the wire one byte at a time";
+  const std::string raw =
+      RawTracedFrame(net::kFrameFlagTrace, 0x1111, 0x2222, payload);
+  // Every byte goes out alone after a pause, so each read of the header,
+  // extension, payload and trailer finds the socket drained and has to
+  // wait for the next byte.
+  std::thread writer([&] {
+    for (char c : raw) {
+      std::this_thread::sleep_for(std::chrono::microseconds{200});
+      EXPECT_TRUE(pair.client.SendAll(&c, 1, kIo).ok());
+    }
+  });
+  Result<Frame> frame = ReadFrame(pair.server, kIo);
+  writer.join();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame.value().type, FrameType::kScoreBatch);
+  EXPECT_EQ(frame.value().payload, payload);
+  EXPECT_TRUE(frame.value().has_trace);
+  EXPECT_EQ(frame.value().trace.trace_id, 0x1111u);
+  EXPECT_EQ(frame.value().trace.parent_span_id, 0x2222u);
+}
+
+TEST(SocketTest, SendResumesWhenAStalledReceiverDrains) {
+  SocketPair pair = MakeSocketPair();
+  // 8 MiB outgrows both kernel buffers, so SendAll waits for room until
+  // the receiver starts reading, then finishes well inside its deadline.
+  std::string sent(8 << 20, '\0');
+  for (size_t i = 0; i < sent.size(); ++i) sent[i] = static_cast<char>(i * 131);
+  std::string got(sent.size(), '\0');
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds{100});
+    EXPECT_TRUE(pair.server.RecvAll(&got[0], got.size(), kIo).ok());
+  });
+  Status st = pair.client.SendAll(sent.data(), sent.size(), kIo);
+  reader.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(got == sent);
+}
+
 TEST(SocketTest, StalledReceiverBoundsSendAtDeadline) {
   SocketPair pair = MakeSocketPair();
   // Nobody ever drains the server side, so the kernel buffers on both
@@ -715,8 +744,8 @@ TEST(ManifestTest, ChunkedLoadBitwiseEqualsMonolithic) {
   EXPECT_EQ(Fnv1aHash(payload.value().data(), payload.value().size()),
             chunked.value().manifest.payload_checksum);
 
-  std::string mono = TempPath("net_mono.bin");
-  std::string dir = FreshDir("net_chunked_eq");
+  std::string mono = TestTempPath("net_mono.bin");
+  std::string dir = TestTempPath("net_chunked_eq");
   ASSERT_TRUE(SaveSnapshot(*snapshot, mono).ok());
   ASSERT_TRUE(SaveChunkedSnapshot(*snapshot, dir).ok());
 
@@ -753,7 +782,7 @@ TEST(ManifestTest, IncrementalSaveRewritesOnlyChangedChunks) {
   ASSERT_NE(with, nullptr);
   ASSERT_NE(without, nullptr);
 
-  std::string dir = FreshDir("net_chunked_incr");
+  std::string dir = TestTempPath("net_chunked_incr");
   std::vector<std::string> written;
   ASSERT_TRUE(SaveChunkedSnapshot(*with, dir, &written).ok());
   EXPECT_EQ(written.size(), 5u) << "first save writes every chunk";
@@ -791,7 +820,7 @@ void FlipByteInFile(const std::string& path, long offset) {
 TEST(ManifestTest, CorruptOptionalChunkDegradesOnlyUnderAllowPartial) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(31, true);
   ASSERT_NE(snapshot, nullptr);
-  std::string dir = FreshDir("net_chunked_corrupt");
+  std::string dir = TestTempPath("net_chunked_corrupt");
   ASSERT_TRUE(SaveChunkedSnapshot(*snapshot, dir).ok());
   FlipByteInFile(dir + "/density.chunk", 12);
 
@@ -813,7 +842,7 @@ TEST(ManifestTest, CorruptOptionalChunkDegradesOnlyUnderAllowPartial) {
 TEST(ManifestTest, CorruptCoreChunkFailsEvenAllowPartial) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(37, true);
   ASSERT_NE(snapshot, nullptr);
-  std::string dir = FreshDir("net_chunked_core_corrupt");
+  std::string dir = TestTempPath("net_chunked_core_corrupt");
   ASSERT_TRUE(SaveChunkedSnapshot(*snapshot, dir).ok());
   FlipByteInFile(dir + "/models.chunk", 16);
 
@@ -853,7 +882,7 @@ TEST(ManifestTest, AssemblyChecksSizeClaimsBeforeReserving) {
 TEST(ManifestTest, LoadChecksSizeClaimsBeforeReserving) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(43, true);
   ASSERT_NE(snapshot, nullptr);
-  std::string dir = FreshDir("net_chunked_forged_size");
+  std::string dir = TestTempPath("net_chunked_forged_size");
   ASSERT_TRUE(SaveChunkedSnapshot(*snapshot, dir).ok());
   Result<SnapshotManifest> manifest = LoadSnapshotManifest(dir);
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
@@ -1009,7 +1038,7 @@ TEST(ShardDaemonTest, MetricsScrapeExposesServerAndTraceFamilies) {
   ASSERT_NE(snapshot, nullptr);
   ShardDaemonOptions options;
   options.io_timeout = kIo;
-  options.trace_log_path = FreshDir("metrics_scrape_trace") + ".jsonl";
+  options.trace_log_path = TestTempPath("metrics_scrape_trace") + ".jsonl";
   options.trace_sample_modulus = 1;  // sample every row
   Result<std::unique_ptr<ShardDaemon>> daemon =
       ShardDaemon::Start(snapshot, options);
@@ -1238,7 +1267,7 @@ TEST(ShardDaemonTest, TracedFrameWritesOneOrderedSpanPerSampledRow) {
   ASSERT_NE(snapshot, nullptr);
   const uint32_t kModulus = 3;
   ShardDaemonOptions options;
-  const std::string path = FreshDir("unit_frame_trace") + ".jsonl";
+  const std::string path = TestTempPath("unit_frame_trace") + ".jsonl";
   options.trace_log_path = path;
   options.trace_sample_modulus = kModulus;
   TestDaemon td = StartDaemon(snapshot, options);

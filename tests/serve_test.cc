@@ -15,6 +15,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "serve/server_stats.h"
 #include "serve/snapshot.h"
 #include "util/binary_io.h"
+#include "util/fault.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -1415,9 +1417,35 @@ class Latch {
   bool open_ = false;
 };
 
+// Blocks every worker of `pool` on `latch` and returns once they all
+// wait there.
+void BlockEveryWorker(ThreadPool* pool, Latch* latch) {
+  std::atomic<size_t> blocked{0};
+  for (size_t w = 0; w < pool->num_threads(); ++w) {
+    pool->Submit([&blocked, latch] {
+      blocked.fetch_add(1);
+      latch->Wait();
+    });
+  }
+  while (blocked.load() < pool->num_threads()) std::this_thread::yield();
+}
+
+// Opens a latch on scope exit unless disowned (null). Declared after the
+// server, so it runs first: an early failure must not leave Stop waiting
+// on a batch stuck behind the latch.
+struct OpenOnExit {
+  Latch* latch;
+  ~OpenOnExit() {
+    if (latch != nullptr) latch->Open();
+  }
+};
+
 // The dispatch rule, both ways, on a pool whose every worker is blocked:
 // a batch under the cap scores on the dispatch thread and completes
-// anyway; a full batch is handed to the pool and waits for a worker.
+// anyway; a full batch is handed to the pool and waits for a worker. The
+// full batch is four single rows that only the cap closes (a 10 s
+// window), since a multi-row unit on an idle server never reaches the
+// dispatcher.
 TEST(ScoringServerTest, BatchUnderTheCapScoresOnTheDispatcherFullOneOnThePool) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(43);
   ASSERT_NE(snapshot, nullptr);
@@ -1428,51 +1456,296 @@ TEST(ScoringServerTest, BatchUnderTheCapScoresOnTheDispatcherFullOneOnThePool) {
 
   Latch latch;  // outlives the pool, whose workers wait on it
   ThreadPool pool(2);
-  std::atomic<size_t> blocked{0};
-  for (size_t w = 0; w < pool.num_threads(); ++w) {
-    pool.Submit([&] {
-      blocked.fetch_add(1);
-      latch.Wait();
-    });
-  }
-  while (blocked.load() < pool.num_threads()) std::this_thread::yield();
+  BlockEveryWorker(&pool, &latch);
 
   ServerOptions options;
   options.batching.max_batch_size = 4;
   options.pool = &pool;
+  {
+    Result<std::unique_ptr<ScoringServer>> server =
+        ScoringServer::Create(snapshot, options);
+    ASSERT_TRUE(server.ok());
+    OpenOnExit open_on_exit{&latch};
+    Result<ScoreTicket> one = server.value()->Submit(rows[0]);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    ASSERT_TRUE(one.value().WaitFor(std::chrono::seconds{2}))
+        << "a single row waited for a pool worker";
+    Result<ScoreResult> single = one.value().Wait();
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    ExpectBitwiseEqual(single.value(), reference.value()[0], 0);
+    open_on_exit.latch = nullptr;  // the workers stay blocked for part two
+  }
+
+  options.batching.max_batch_delay = std::chrono::seconds{10};
   Result<std::unique_ptr<ScoringServer>> server =
       ScoringServer::Create(snapshot, options);
   ASSERT_TRUE(server.ok());
-  // Destroyed before the server: an early failure must not leave Stop
-  // waiting on a batch stuck behind the latch.
-  struct OpenOnExit {
-    Latch* latch;
-    ~OpenOnExit() { latch->Open(); }
-  } open_on_exit{&latch};
-
-  Result<ScoreTicket> one = server.value()->Submit(rows[0]);
-  ASSERT_TRUE(one.ok()) << one.status().ToString();
-  ASSERT_TRUE(one.value().WaitFor(std::chrono::seconds{2}))
-      << "a single row waited for a pool worker";
-  Result<ScoreResult> single = one.value().Wait();
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
-  ExpectBitwiseEqual(single.value(), reference.value()[0], 0);
-
-  Result<ScoreTicket> full = server.value()->Submit(
-      FlattenRows(rows), 4, RequestAuditInfo{}, SubmitTraceInfo{},
-      std::chrono::nanoseconds{0});
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_FALSE(full.value().WaitFor(std::chrono::milliseconds{200}))
+  OpenOnExit open_on_exit{&latch};
+  std::vector<ScoreTicket> tickets;
+  for (const std::vector<double>& row : rows) {
+    Result<ScoreTicket> ticket = server.value()->Submit(row);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    tickets.push_back(std::move(ticket).value());
+  }
+  EXPECT_FALSE(tickets.back().WaitFor(std::chrono::milliseconds{200}))
       << "a full batch must wait for a pool worker";
   EXPECT_EQ(server.value()->inflight_batches(), 1u);
+  EXPECT_EQ(server.value()->queue_depth(), 0u);
   latch.Open();
   for (size_t i = 0; i < rows.size(); ++i) {
-    Result<ScoreResult> result = full.value().Wait(i);
+    Result<ScoreResult> result = tickets[i].Wait();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectBitwiseEqual(result.value(), reference.value()[i], i);
   }
-  EXPECT_EQ(server.value()->stats().batches, 2u);
+  EXPECT_EQ(server.value()->stats().batches, 1u);
 }
+
+// Units submitted from several threads while Stop() runs: each one is
+// scored or refused with a typed kUnavailable, every admitted ticket
+// completes, and no inflight slot leaks.
+TEST(ScoringServerTest, StopRacingUnitSubmitsResolvesEveryUnit) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(53);
+  ASSERT_NE(snapshot, nullptr);
+  ServerOptions options;
+  options.batching.max_batch_size = 32;
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot, options);
+  ASSERT_TRUE(server.ok());
+
+  const size_t kSizes[] = {8, 1, 32, 3, 64};
+  std::atomic<bool> stopped{false};
+  std::atomic<uint64_t> refused{0};
+  std::vector<std::vector<ScoreTicket>> admitted(4);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < admitted.size(); ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<double> rows = FlattenRows(MakeRequests(64, 54 + c));
+      for (size_t round = 0;; ++round) {
+        // Read before submitting: every client submits once more after
+        // Stop has returned, and that one must be refused.
+        const bool after_stop = stopped.load();
+        const size_t n = kSizes[round % 5];
+        Result<ScoreTicket> ticket = server.value()->Submit(
+            std::vector<double>(rows.begin(), rows.begin() + 4 * n), 4,
+            RequestAuditInfo{}, SubmitTraceInfo{},
+            std::chrono::nanoseconds{0});
+        if (ticket.ok()) {
+          admitted[c].push_back(std::move(ticket).value());
+        } else {
+          EXPECT_EQ(ticket.status().code(), StatusCode::kUnavailable)
+              << ticket.status().ToString();
+          refused.fetch_add(1);
+        }
+        if (after_stop) return;
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds{20});
+  server.value()->Stop();
+  stopped.store(true);
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(server.value()->inflight_batches(), 0u);
+  EXPECT_GE(refused.load(), admitted.size());
+  uint64_t rows_admitted = 0;
+  for (const std::vector<ScoreTicket>& tickets : admitted) {
+    for (const ScoreTicket& ticket : tickets) {
+      ASSERT_TRUE(ticket.done());
+      for (size_t i = 0; i < ticket.size(); ++i) {
+        EXPECT_TRUE(ticket.Wait(i).ok()) << ticket.Wait(i).status().ToString();
+      }
+      rows_admitted += ticket.size();
+    }
+  }
+  ServerStats::View stats = server.value()->stats();
+  EXPECT_EQ(stats.submitted, rows_admitted);
+  EXPECT_EQ(stats.completed, rows_admitted);
+}
+
+#ifndef FAIRDRIFT_NO_FAULT_INJECTION
+
+// Disarms the global injector on scope exit, releasing wedged threads.
+// Declared after the server, so it runs before Stop joins them.
+struct DisarmOnExit {
+  ~DisarmOnExit() { FaultInjector::Global().Disarm(); }
+};
+
+FaultRule WedgeRule(std::optional<uint64_t> arg = std::nullopt) {
+  FaultRule rule;
+  rule.action = FaultAction::kWedge;
+  rule.arg = arg;
+  return rule;
+}
+
+void AwaitFires(const char* site, uint64_t fires) {
+  while (FaultInjector::Global().fires(site) < fires) {
+    std::this_thread::yield();
+  }
+}
+
+// A multi-row unit that fits a batch and finds the server idle is its
+// own batch on the submitting thread: it completes before Submit
+// returns, although every pool worker is blocked and the dispatcher is
+// wedged before its first pop.
+TEST(ScoringServerTest, UnitOnAnIdleServerScoresOnItsSubmittingThread) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(45);
+  ASSERT_NE(snapshot, nullptr);
+  std::vector<std::vector<double>> rows = MakeRequests(16, 46);
+  Result<std::vector<ScoreResult>> reference =
+      snapshot->ScoreBatch(ToMatrix(rows));
+  ASSERT_TRUE(reference.ok());
+
+  Latch latch;
+  ThreadPool pool(2);
+  BlockEveryWorker(&pool, &latch);
+  FaultInjector::Global().Arm(1);
+  FaultInjector::Global().SetRule("queue.pop", WedgeRule());
+  ServerOptions options;
+  options.pool = &pool;
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot, options);
+  DisarmOnExit disarm;
+  OpenOnExit open_on_exit{&latch};
+  ASSERT_TRUE(server.ok());
+  AwaitFires("queue.pop", 1);  // the dispatcher is parked before popping
+
+  Result<ScoreTicket> ticket = server.value()->Submit(
+      FlattenRows(rows), 4, RequestAuditInfo{}, SubmitTraceInfo{},
+      std::chrono::nanoseconds{0});
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  ASSERT_TRUE(ticket.value().done()) << "the unit waited for a hand-off";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Result<ScoreResult> result = ticket.value().Wait(i);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectBitwiseEqual(result.value(), reference.value()[i], i);
+  }
+  EXPECT_EQ(FaultInjector::Global().hits("queue.pop"), 1u)
+      << "the dispatcher popped";
+  EXPECT_EQ(server.value()->inflight_batches(), 0u);
+  EXPECT_EQ(server.value()->queue_depth(), 0u);
+  ServerStats::View stats = server.value()->stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.submitted, rows.size());
+  EXPECT_EQ(stats.completed, rows.size());
+}
+
+// FIFO: with the dispatcher wedged mid-batch and a single row queued
+// behind it, a multi-row unit submitted next queues behind that row
+// instead of scoring ahead of it. (Scored on its submitting thread, it
+// would wedge there too and Submit would not return.)
+TEST(ScoringServerTest, UnitQueuesBehindARowAlreadyQueued) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(47);
+  ASSERT_NE(snapshot, nullptr);
+  std::vector<std::vector<double>> rows = MakeRequests(6, 48);
+  Result<std::vector<ScoreResult>> reference =
+      snapshot->ScoreBatch(ToMatrix(rows));
+  ASSERT_TRUE(reference.ok());
+
+  FaultInjector::Global().Arm(2);
+  ServerOptions options;
+  options.fault_tag = 5;
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot, options);
+  DisarmOnExit disarm;
+  ASSERT_TRUE(server.ok());
+  FaultInjector::Global().SetRule("server.wedge", WedgeRule(5));
+
+  Result<ScoreTicket> first = server.value()->Submit(rows[0]);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  AwaitFires("server.wedge", 1);  // the dispatcher is wedged scoring it
+  Result<ScoreTicket> queued = server.value()->Submit(rows[1]);
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  EXPECT_EQ(server.value()->queue_depth(), 1u);
+
+  std::vector<std::vector<double>> unit_rows(rows.begin() + 2, rows.end());
+  std::atomic<bool> returned{false};
+  Result<ScoreTicket> unit = Status::Internal("not submitted");
+  std::thread submitter([&] {
+    unit = server.value()->Submit(FlattenRows(unit_rows), 4,
+                                  RequestAuditInfo{}, SubmitTraceInfo{},
+                                  std::chrono::nanoseconds{0});
+    returned.store(true);
+  });
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds{5};
+  while (!returned.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  EXPECT_TRUE(returned.load()) << "the unit was scored ahead of a queued row";
+  EXPECT_EQ(FaultInjector::Global().fires("server.wedge"), 1u);
+  if (returned.load()) {
+    EXPECT_TRUE(unit.ok() && !unit.value().done());
+    EXPECT_FALSE(queued.value().done());
+    EXPECT_EQ(server.value()->queue_depth(), 1u + unit_rows.size());
+  }
+  FaultInjector::Global().ClearRule("server.wedge");
+  submitter.join();  // no ASSERT above: it would skip the join
+
+  ASSERT_TRUE(first.value().Wait().ok());
+  ASSERT_TRUE(queued.value().Wait().ok());
+  ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+  for (size_t i = 0; i < unit_rows.size(); ++i) {
+    Result<ScoreResult> result = unit.value().Wait(i);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectBitwiseEqual(result.value(), reference.value()[2 + i], 2 + i);
+  }
+}
+
+// A wedge on a unit scored on its submitting thread blocks that thread
+// only: the dispatcher keeps scoring, and the unit holds an inflight
+// slot, so health and the drain barrier see pending work.
+TEST(ScoringServerTest, WedgedUnitBlocksOnlyItsSubmittingThread) {
+  std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(51);
+  ASSERT_NE(snapshot, nullptr);
+  std::vector<std::vector<double>> rows = MakeRequests(9, 52);
+  Result<std::vector<ScoreResult>> reference =
+      snapshot->ScoreBatch(ToMatrix(rows));
+  ASSERT_TRUE(reference.ok());
+
+  FaultInjector::Global().Arm(3);
+  ServerOptions options;
+  options.fault_tag = 9;
+  Result<std::unique_ptr<ScoringServer>> server =
+      ScoringServer::Create(snapshot, options);
+  DisarmOnExit disarm;
+  ASSERT_TRUE(server.ok());
+  FaultRule wedge = WedgeRule(9);
+  wedge.max_fires = 1;
+  FaultInjector::Global().SetRule("server.wedge", wedge);
+
+  std::vector<std::vector<double>> unit_rows(rows.begin(), rows.begin() + 8);
+  Result<ScoreTicket> unit = Status::Internal("not submitted");
+  std::thread submitter([&] {
+    unit = server.value()->Submit(FlattenRows(unit_rows), 4,
+                                  RequestAuditInfo{}, SubmitTraceInfo{},
+                                  std::chrono::nanoseconds{0});
+  });
+  AwaitFires("server.wedge", 1);  // the submitter is wedged in Submit
+  EXPECT_EQ(server.value()->inflight_batches(), 1u);
+  Result<ScoreTicket> single = server.value()->Submit(rows[8]);
+  EXPECT_TRUE(single.ok() && single.value().WaitFor(std::chrono::seconds{5}))
+      << "a single row waited behind the wedged unit";
+  EXPECT_EQ(server.value()->inflight_batches(), 1u);
+  EXPECT_EQ(server.value()->Quiesce(std::chrono::milliseconds{20}).code(),
+            StatusCode::kDeadlineExceeded);
+
+  FaultInjector::Global().ClearRule("server.wedge");
+  submitter.join();  // no ASSERT above: it would skip the join
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  Result<ScoreResult> single_result = single.value().Wait();
+  ASSERT_TRUE(single_result.ok()) << single_result.status().ToString();
+  ExpectBitwiseEqual(single_result.value(), reference.value()[8], 8);
+  ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+  EXPECT_TRUE(unit.value().done());
+  for (size_t i = 0; i < unit_rows.size(); ++i) {
+    Result<ScoreResult> result = unit.value().Wait(i);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectBitwiseEqual(result.value(), reference.value()[i], i);
+  }
+  EXPECT_EQ(server.value()->inflight_batches(), 0u);
+  EXPECT_TRUE(server.value()->Quiesce(std::chrono::seconds{5}).ok());
+}
+
+#endif  // FAIRDRIFT_NO_FAULT_INJECTION
 
 TEST(ScoringServerTest, FarDeadlineScoresNormally) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(41);

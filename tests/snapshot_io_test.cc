@@ -23,6 +23,7 @@
 #include "serve/server.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
+#include "test_tmp.h"
 
 namespace fairdrift {
 namespace {
@@ -65,10 +66,6 @@ Matrix MakeRequests(size_t n, uint64_t seed) {
     rows.At(i, 3) = static_cast<double>(rng.UniformInt(0, 2));
   }
   return rows;
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
 }
 
 /// Equality on the raw bit pattern: distinguishes -0.0 from 0.0 and
@@ -115,7 +112,8 @@ TEST_P(SnapshotRoundTripTest, BitwiseIdenticalScores) {
       BuildSnapshot(train, spec);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
 
-  std::string path = TempPath(std::string("snapshot_") + param.name + ".bin");
+  std::string path =
+      TestTempPath(std::string("snapshot_") + param.name + ".bin");
   ASSERT_TRUE(SaveSnapshot(*original.value(), path).ok());
   Result<std::shared_ptr<const ModelSnapshot>> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -195,7 +193,7 @@ TEST(SnapshotIoTest, NaiveBayesRoundTrip) {
   Result<std::shared_ptr<const ModelSnapshot>> original =
       BuildSnapshot(train, spec);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
-  std::string path = TempPath("snapshot_nb.bin");
+  std::string path = TestTempPath("snapshot_nb.bin");
   ASSERT_TRUE(SaveSnapshot(*original.value(), path).ok());
   Result<std::shared_ptr<const ModelSnapshot>> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -218,7 +216,7 @@ TEST(SnapshotIoTest, ViolationOnlyRoutingRuleRoundTrips) {
       BuildSnapshot(train, spec);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
   EXPECT_EQ(original.value()->routing(), RoutingRule::kViolationOnly);
-  std::string path = TempPath("snapshot_violation_only.bin");
+  std::string path = TestTempPath("snapshot_violation_only.bin");
   ASSERT_TRUE(SaveSnapshot(*original.value(), path).ok());
   Result<std::shared_ptr<const ModelSnapshot>> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -240,7 +238,7 @@ TEST(SnapshotIoTest, NoDensityRoundTrip) {
   Result<std::shared_ptr<const ModelSnapshot>> original =
       BuildSnapshot(train, spec);
   ASSERT_TRUE(original.ok());
-  std::string path = TempPath("snapshot_nodensity.bin");
+  std::string path = TestTempPath("snapshot_nodensity.bin");
   ASSERT_TRUE(SaveSnapshot(*original.value(), path).ok());
   Result<std::shared_ptr<const ModelSnapshot>> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -266,7 +264,7 @@ std::string SaveReferenceSnapshot(const std::string& path) {
 }
 
 TEST(SnapshotIoTest, CorruptedFileRejectedWithTypedError) {
-  std::string path = TempPath("snapshot_corrupt.bin");
+  std::string path = TestTempPath("snapshot_corrupt.bin");
   std::string bytes = SaveReferenceSnapshot(path);
   ASSERT_GT(bytes.size(), 64u);
   // Flip one payload byte; the trailing FNV-1a must catch it.
@@ -278,7 +276,7 @@ TEST(SnapshotIoTest, CorruptedFileRejectedWithTypedError) {
 }
 
 TEST(SnapshotIoTest, TruncatedFileRejectedWithTypedError) {
-  std::string path = TempPath("snapshot_truncated.bin");
+  std::string path = TestTempPath("snapshot_truncated.bin");
   std::string bytes = SaveReferenceSnapshot(path);
   ASSERT_TRUE(WriteFileBytes(path, bytes.substr(0, bytes.size() / 3)).ok());
   Result<std::shared_ptr<const ModelSnapshot>> loaded = LoadSnapshot(path);
@@ -287,7 +285,7 @@ TEST(SnapshotIoTest, TruncatedFileRejectedWithTypedError) {
 }
 
 TEST(SnapshotIoTest, WrongFormatVersionRejectedWithTypedError) {
-  std::string path = TempPath("snapshot_future.bin");
+  std::string path = TestTempPath("snapshot_future.bin");
   std::string bytes = SaveReferenceSnapshot(path);
   // The u32 format version sits right after the 8-byte magic.
   bytes[8] = static_cast<char>(kSnapshotFormatVersion + 41);
@@ -300,7 +298,7 @@ TEST(SnapshotIoTest, WrongFormatVersionRejectedWithTypedError) {
 }
 
 TEST(SnapshotIoTest, NonSnapshotFileRejectedWithTypedError) {
-  std::string path = TempPath("snapshot_garbage.bin");
+  std::string path = TestTempPath("snapshot_garbage.bin");
   ASSERT_TRUE(
       WriteFileBytes(path, "this is not a snapshot at all, sorry").ok());
   Result<std::shared_ptr<const ModelSnapshot>> loaded = LoadSnapshot(path);
@@ -310,7 +308,7 @@ TEST(SnapshotIoTest, NonSnapshotFileRejectedWithTypedError) {
 
 TEST(SnapshotIoTest, MissingFileIsIoError) {
   Result<std::shared_ptr<const ModelSnapshot>> loaded =
-      LoadSnapshot(TempPath("does_not_exist.bin"));
+      LoadSnapshot(TestTempPath("does_not_exist.bin"));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
@@ -322,7 +320,7 @@ TEST(SnapshotIoTest, LoadedSnapshotServes) {
   Result<std::shared_ptr<const ModelSnapshot>> original =
       BuildSnapshot(train, ServingSpec(Method::kDiffair));
   ASSERT_TRUE(original.ok());
-  std::string path = TempPath("snapshot_served.bin");
+  std::string path = TestTempPath("snapshot_served.bin");
   ASSERT_TRUE(SaveSnapshot(*original.value(), path).ok());
   Result<std::shared_ptr<const ModelSnapshot>> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok());
@@ -364,8 +362,8 @@ TEST(SnapshotIoTest, LegacyV1FileLoadsBitwiseIdentical) {
       Freeze(std::move(artifacts).value());
   ASSERT_TRUE(original.ok()) << original.status().ToString();
 
-  std::string v1_path = TempPath("snapshot_legacy_v1.bin");
-  std::string v2_path = TempPath("snapshot_current_v2.bin");
+  std::string v1_path = TestTempPath("snapshot_legacy_v1.bin");
+  std::string v2_path = TestTempPath("snapshot_current_v2.bin");
   ASSERT_TRUE(
       SaveSnapshotV1(*original.value(), density_train, v1_path).ok());
   ASSERT_TRUE(SaveSnapshot(*original.value(), v2_path).ok());
@@ -416,7 +414,7 @@ TEST(SnapshotIoTest, MonitorSpecRoundTripsAndDefaultsOnOlderFiles) {
   EXPECT_EQ(original.value()->monitor().sample_modulus, 7u);
 
   // v3 carries the policy.
-  std::string path = TempPath("snapshot_monitor_v3.bin");
+  std::string path = TestTempPath("snapshot_monitor_v3.bin");
   ASSERT_TRUE(SaveSnapshot(*original.value(), path).ok());
   Result<std::shared_ptr<const ModelSnapshot>> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -425,7 +423,7 @@ TEST(SnapshotIoTest, MonitorSpecRoundTripsAndDefaultsOnOlderFiles) {
 
   // A legacy v1 file has no monitor section: the exact-mode default — the
   // historical behavior of every pre-v3 deployment — loads in its place.
-  std::string v1_path = TempPath("snapshot_monitor_v1.bin");
+  std::string v1_path = TestTempPath("snapshot_monitor_v1.bin");
   ASSERT_TRUE(
       SaveSnapshotV1(*original.value(), density_train, v1_path).ok());
   Result<std::shared_ptr<const ModelSnapshot>> from_v1 =
@@ -454,7 +452,7 @@ TEST(SnapshotIoTest, ConcurrentReaderNeverSeesTornFile) {
   size_t plain_groups = static_cast<size_t>(plain.value()->num_groups());
   size_t routed_groups = static_cast<size_t>(routed.value()->num_groups());
 
-  std::string path = TempPath("snapshot_atomic.bin");
+  std::string path = TestTempPath("snapshot_atomic.bin");
   ASSERT_TRUE(SaveSnapshot(*plain.value(), path).ok());
 
   std::atomic<bool> stop{false};
@@ -533,7 +531,7 @@ TEST(SnapshotIoTest, ForgedTreeCycleRejected) {
 }
 
 TEST(SnapshotIoTest, ProbeReportsSignatureCheaply) {
-  std::string path = TempPath("snapshot_probe.bin");
+  std::string path = TestTempPath("snapshot_probe.bin");
   std::string bytes = SaveReferenceSnapshot(path);
   Result<SnapshotFileSignature> sig = ProbeSnapshotFile(path);
   ASSERT_TRUE(sig.ok()) << sig.status().ToString();
@@ -545,8 +543,8 @@ TEST(SnapshotIoTest, ProbeReportsSignatureCheaply) {
   Result<SnapshotFileSignature> again = ProbeSnapshotFile(path);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(sig.value().checksum, again.value().checksum);
-  EXPECT_FALSE(ProbeSnapshotFile(TempPath("missing_probe.bin")).ok());
-  std::string garbage_path = TempPath("probe_garbage.bin");
+  EXPECT_FALSE(ProbeSnapshotFile(TestTempPath("missing_probe.bin")).ok());
+  std::string garbage_path = TestTempPath("probe_garbage.bin");
   ASSERT_TRUE(WriteFileBytes(garbage_path, "definitely not a snapshot").ok());
   EXPECT_FALSE(ProbeSnapshotFile(garbage_path).ok());
 }

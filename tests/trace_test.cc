@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -34,6 +32,7 @@
 #include "serve/trace/trace_log.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "test_tmp.h"
 
 namespace fairdrift {
 namespace {
@@ -84,10 +83,6 @@ std::vector<std::vector<double>> MakeRequests(size_t n, uint64_t seed) {
     row[3] = static_cast<double>(rng.UniformInt(0, 2));
   }
   return rows;
-}
-
-std::string FreshPath(const std::string& name) {
-  return testing::TempDir() + "/" + name + "." + std::to_string(::getpid());
 }
 
 // ------------------------------------------------------ trace identity
@@ -232,7 +227,7 @@ TEST(TraceLogTest, FormatEmitsOnlyStampedStagesInCanonicalOrder) {
 }
 
 TEST(TraceLogTest, AppendedRecordsVerifyAsOneChain) {
-  std::string path = FreshPath("trace_basic.jsonl");
+  std::string path = TestTempPath("trace_basic.jsonl");
   Result<std::unique_ptr<TraceLog>> log = TraceLog::Open(path);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   for (uint64_t i = 1; i <= 5; ++i) {
@@ -251,7 +246,7 @@ TEST(TraceLogTest, AppendedRecordsVerifyAsOneChain) {
 }
 
 TEST(TraceLogTest, RotationThreadsTheChainAcrossSegments) {
-  std::string path = FreshPath("trace_rotate.jsonl");
+  std::string path = TestTempPath("trace_rotate.jsonl");
   TraceLogOptions options;
   options.rotate_bytes = 512;  // a few records per segment
   uint64_t final_chain = 0;
@@ -301,7 +296,7 @@ TEST(TraceLogTest, RotationThreadsTheChainAcrossSegments) {
 }
 
 TEST(TraceLogTest, ReopenResumesChainAcrossRotatedSegments) {
-  std::string path = FreshPath("trace_reopen.jsonl");
+  std::string path = TestTempPath("trace_reopen.jsonl");
   TraceLogOptions options;
   options.rotate_bytes = 512;
   uint64_t chain_before = 0;
@@ -332,7 +327,7 @@ TEST(TraceLogTest, ReopenResumesChainAcrossRotatedSegments) {
 }
 
 TEST(TraceLogTest, MidSegmentCorruptionIsDataLoss) {
-  std::string path = FreshPath("trace_corrupt.jsonl");
+  std::string path = TestTempPath("trace_corrupt.jsonl");
   TraceLogOptions options;
   options.rotate_bytes = 512;
   {
@@ -498,7 +493,7 @@ TEST(ServerStatsTest, PercentileWithMassInOverflowBucketStaysFinite) {
 TEST(ServerTraceTest, SampledRequestsStampMonotonicSpansAndEmitRecords) {
   std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot(17);
   ASSERT_NE(snapshot, nullptr);
-  std::string path = FreshPath("trace_server.jsonl");
+  std::string path = TestTempPath("trace_server.jsonl");
   Result<std::unique_ptr<TraceLog>> log = TraceLog::Open(path);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
 
